@@ -76,8 +76,8 @@ struct CompletionSpec {
 /// default spec) — and false forever after; duplicate and stale replies
 /// are counted, never double-counted. The collector is deliberately not
 /// internally locked: the simulated handler runs single-threaded, and the
-/// threaded client records under its per-request state mutex (the same
-/// lock that guards first-reply delivery today).
+/// threaded client drives core::RequestLifecycle (which owns the
+/// collectors) under its client mutex.
 class ReplyCollector {
  public:
   /// Replace the default first-of-n spec. Must be called before the

@@ -139,24 +139,17 @@ SelectionResult ReplicaSelector::select(std::span<const ReplicaObservation> obse
   }
 
   // Line 3: sort in decreasing order of F_Ri; ties broken by id so that
-  // selection is deterministic. The load score, when enabled, takes
-  // precedence: a timely-but-loaded replica ranks below an equally
-  // timely idle one.
-  if (load.enabled) {
-    std::sort(result.ranked.begin(), result.ranked.end(),
-              [](const RankedReplica& a, const RankedReplica& b) {
-                if (a.score != b.score) return a.score > b.score;
-                if (a.probability != b.probability) return a.probability > b.probability;
-                return a.id < b.id;
-              });
-    if (rng != nullptr) two_choice_spread(result.ranked, observations, load, *rng);
-  } else {
-    std::sort(result.ranked.begin(), result.ranked.end(),
-              [](const RankedReplica& a, const RankedReplica& b) {
-                if (a.probability != b.probability) return a.probability > b.probability;
-                return a.id < b.id;
-              });
-  }
+  // selection is deterministic. The load score takes precedence: a
+  // timely-but-loaded replica ranks below an equally timely idle one.
+  // With the load score off every score is 0.0, so the order is the
+  // paper's exactly.
+  std::sort(result.ranked.begin(), result.ranked.end(),
+            [](const RankedReplica& a, const RankedReplica& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.probability != b.probability) return a.probability > b.probability;
+              return a.id < b.id;
+            });
+  if (load.enabled && rng != nullptr) two_choice_spread(result.ranked, observations, load, *rng);
 
   // Line 4 (generalised): protect the top-k replicas, clamped to n-1 so
   // the feasibility test below never runs over an empty candidate range.

@@ -1,6 +1,7 @@
 #include "runtime/threaded_client.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/assert.h"
 #include "core/model_cache.h"
@@ -16,10 +17,8 @@ Duration NetDelayModel::sample(Rng& rng) const {
 
 namespace {
 
-/// Steady-clock instants mapped onto the TimePoint axis so the
-/// repository's freshness fields (last_update, observation silence) are
-/// meaningful in the threaded runtime — they used to be recorded as
-/// TimePoint{}, which made every staleness question unanswerable.
+/// Steady-clock instants on the TimePoint axis, so the repository's
+/// freshness fields (last_update, silence) are meaningful.
 TimePoint mono_now() {
   return TimePoint{} + std::chrono::duration_cast<Duration>(
                            std::chrono::steady_clock::now().time_since_epoch());
@@ -33,22 +32,11 @@ core::RepositoryConfig with_stale_guard(core::RepositoryConfig config) {
   return config;
 }
 
-}  // namespace
+/// A returned request whose copies never all answer is collected this
+/// many deadlines later, like the simulator's GC.
+constexpr int kCollectAfterDeadlines = 10;
 
-struct ThreadedClient::RequestState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool delivered = false;
-  proto::Reply first_reply;
-  /// Completion predicate (guarded by mutex, like delivered). Left
-  /// unarmed — first-of-n — for the default config, so delivery stays
-  /// "first reply wins" exactly; armed k-of-n delivers at the k-th
-  /// distinct chunk.
-  core::ReplyCollector collector;
-  /// Every replica that has replied so far, for coded cancels: a replier
-  /// finished its chunk, so there is nothing left to withdraw from it.
-  std::vector<ReplicaId> repliers;
-};
+}  // namespace
 
 ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::QosSpec qos, Rng rng,
                                ThreadedClientConfig config)
@@ -58,28 +46,28 @@ ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::Qos
       config_(config),
       model_cache_(std::make_shared<core::ModelCache>()),
       selector_(config.selection, core::ResponseTimeModel{config.model, model_cache_}),
-      repository_(with_stale_guard(config.repository)),
-      tracker_(config.failure_tracker),
-      transport_(config.transport) {
+      lifecycle_(config.id, with_stale_guard(config.repository), config.failure_tracker,
+                 config.selection, config.dispatch,
+                 core::ResponseTimeModel{config.model, model_cache_}, config.telemetry,
+                 "threaded", /*keep_history=*/false),
+      transport_(config.transport),
+      obs_(config.telemetry) {
   qos_.validate();
   AQUA_REQUIRE(!replicas_.empty() || transport_ != nullptr,
                "threaded client needs at least one replica (or a transport to discover them)");
   AQUA_REQUIRE(config_.give_up_deadline_factor >= 1, "give-up factor must be >= 1");
-  if (config_.telemetry != nullptr) {
-    obs_ = config_.telemetry;
-    if (obs_->spans_enabled()) span_sink_ = obs_;
-    auto& metrics = config_.telemetry->metrics();
+  if (obs_ != nullptr) {
+    auto& metrics = obs_->metrics();
     requests_counter_ = &metrics.counter("threaded.requests");
     answered_counter_ = &metrics.counter("threaded.answered");
-    timely_counter_ = &metrics.counter("threaded.timely");
-    timing_failures_counter_ = &metrics.counter("threaded.timing_failures");
     cold_starts_counter_ = &metrics.counter("threaded.cold_starts");
-    response_time_histogram_ = &metrics.histogram("threaded.response_time_us");
     selection_overhead_histogram_ = &metrics.histogram("threaded.selection_overhead_us");
   }
   {
     std::lock_guard lock(mutex_);
-    for (const ThreadedReplica* replica : replicas_) repository_.add_replica(replica->id());
+    for (const ThreadedReplica* replica : replicas_) {
+      lifecycle_.repository().add_replica(replica->id());
+    }
   }
   if (transport_ != nullptr) {
     endpoint_ = transport_->create_endpoint(
@@ -106,19 +94,24 @@ void ThreadedClient::shutdown() {
       std::lock_guard guard(evict_relay_->mutex);
       evict_relay_->client = nullptr;
     }
-    // Joins the endpoint's delivery threads: no on_receive after this.
-    // Must not hold mutex_ here — a delivery blocked on it would deadlock
-    // the join.
+    // Joins the endpoint's delivery threads (so must not hold mutex_).
     if (!endpoint_destroyed_.exchange(true)) transport_->destroy_endpoint(endpoint_);
   }
   executor_.shutdown();
+}
+
+TimePoint ThreadedClient::now() const { return obs_ != nullptr ? obs_->wall_now() : mono_now(); }
+
+void ThreadedClient::flush(std::vector<Send>& sends) {
+  for (Send& send : sends) send();
+  sends.clear();
 }
 
 void ThreadedClient::add_peer_replica(ReplicaId replica, EndpointId endpoint) {
   AQUA_REQUIRE(transport_ != nullptr, "add_peer_replica requires transport mode");
   std::lock_guard lock(mutex_);
   peer_replicas_[replica] = endpoint;
-  if (!repository_.contains(replica)) repository_.add_replica(replica);
+  if (!lifecycle_.repository().contains(replica)) lifecycle_.repository().add_replica(replica);
 }
 
 void ThreadedClient::subscribe_to(EndpointId peer) {
@@ -130,30 +123,7 @@ void ThreadedClient::subscribe_to(EndpointId peer) {
 
 void ThreadedClient::on_receive(EndpointId from, const net::Payload& message) {
   if (const auto* reply = message.get_if<proto::Reply>()) {
-    std::shared_ptr<RequestState> state;
-    {
-      std::lock_guard lock(mutex_);
-      if (repository_.contains(reply->replica)) {
-        repository_.record_perf(reply->replica,
-                                core::PerfSample{reply->perf.service_time,
-                                                 reply->perf.queuing_delay,
-                                                 reply->perf.queue_length,
-                                                 reply->perf.sample_seq},
-                                mono_now(), reply->method);
-      }
-      auto it = outstanding_.find(reply->request);
-      if (it != outstanding_.end()) state = it->second;
-    }
-    if (state != nullptr) {
-      std::lock_guard slock(state->mutex);
-      state->repliers.push_back(reply->replica);
-      if (!state->delivered &&
-          state->collector.record(reply->replica, reply->chunk, reply->code_id)) {
-        state->delivered = true;
-        state->first_reply = *reply;
-        state->cv.notify_all();
-      }
-    }
+    intake(*reply);
     return;
   }
   if (const auto* announce = message.get_if<proto::Announce>()) {
@@ -164,451 +134,254 @@ void ThreadedClient::on_receive(EndpointId from, const net::Payload& message) {
   }
   if (const auto* update = message.get_if<proto::PerfUpdate>()) {
     std::lock_guard lock(mutex_);
-    if (repository_.contains(update->replica)) {
-      repository_.record_perf(update->replica,
-                              core::PerfSample{update->perf.service_time,
-                                               update->perf.queuing_delay,
-                                               update->perf.queue_length,
-                                               update->perf.sample_seq},
-                              mono_now(), update->method);
-    }
+    lifecycle_.on_perf_update(*update, now());
   }
 }
 
-void ThreadedClient::evict_host(HostId host) {
-  std::lock_guard lock(mutex_);
-  for (auto it = peer_replicas_.begin(); it != peer_replicas_.end();) {
-    const EndpointId endpoint = it->second;
-    if (transport_->endpoint_exists(endpoint) && transport_->endpoint_host(endpoint) == host) {
-      repository_.remove_replica(it->first);
-      model_cache_->invalidate(it->first);
-      it = peer_replicas_.erase(it);
-    } else {
-      ++it;
+void ThreadedClient::intake(const proto::Reply& reply) {
+  std::vector<Send> sends;
+  bool completed = false;
+  {
+    std::lock_guard lock(mutex_);
+    const core::ReplyIntake result = lifecycle_.on_reply(reply, now());
+    completed = result.completed;
+    if (result.cancel) stage(*result.cancel, sends);
+    // A request invoke() is still waiting on is let go by invoke().
+    if (std::find(waiting_.begin(), waiting_.end(), reply.request) == waiting_.end()) {
+      lifecycle_.finish_if_complete(reply.request);
     }
+  }
+  flush(sends);
+  if (completed) decided_.notify_all();
+}
+
+void ThreadedClient::evict_host(HostId host) {
+  std::vector<Send> sends;
+  {
+    std::lock_guard lock(mutex_);
+    std::vector<ReplicaId> dead;
+    for (const auto& [replica, endpoint] : peer_replicas_) {
+      if (transport_->endpoint_exists(endpoint) && transport_->endpoint_host(endpoint) == host) {
+        dead.push_back(replica);
+      }
+    }
+    evict(dead, sends);
+  }
+  flush(sends);
+}
+
+void ThreadedClient::remove_replica(ReplicaId id) {
+  std::vector<Send> sends;
+  {
+    std::lock_guard lock(mutex_);
+    std::erase_if(replicas_, [id](const ThreadedReplica* r) { return r->id() == id; });
+    evict(std::span<const ReplicaId>(&id, 1), sends);
+  }
+  flush(sends);
+}
+
+void ThreadedClient::evict(std::span<const ReplicaId> dead, std::vector<Send>& sends) {
+  if (dead.empty()) return;
+  for (ReplicaId replica : dead) {
+    model_cache_->invalidate(replica);
+    peer_replicas_.erase(replica);
+  }
+  const core::Eviction eviction = lifecycle_.evict(dead, now());
+  for (const core::Transmission& hedge : eviction.hedges) stage(hedge, sends);
+  for (RequestId id : eviction.unsatisfiable) (void)dispatch(id, /*redispatch=*/true, sends);
+}
+
+Duration ThreadedClient::dispatch(RequestId id, bool redispatch, std::vector<Send>& sends) {
+  const core::RequestLifecycle::Request& request = *lifecycle_.find(id);
+  const TimePoint start = now();
+  const auto observations = lifecycle_.repository().observe_all(request.method, start);
+  if (observations.empty()) return Duration::zero();  // nothing known yet: give-up decides
+  // delta measured from the real wall clock (§5.3.3); rng_ feeds only the
+  // load score's two-choice spread.
+  const auto select_start = std::chrono::steady_clock::now();
+  const core::SelectionResult selection =
+      selector_.select(observations, request.qos, overhead_.current(), &rng_);
+  const auto selection_time =
+      std::chrono::duration_cast<Duration>(std::chrono::steady_clock::now() - select_start);
+  overhead_.record(selection_time);
+  const core::PlannedDispatch plan =
+      lifecycle_.plan(id, selection, observations, redispatch, now());
+  // t1 is now: the wave leaves as soon as the lock is released.
+  if (auto tx = lifecycle_.transmit(id, plan, now(), redispatch ? start : request.t0)) {
+    stage(*tx, sends);
+  }
+  return selection_time;
+}
+
+void ThreadedClient::stage(const core::Transmission& tx, std::vector<Send>& sends) {
+  auto payload_of = [&tx](const proto::Request& request) {
+    net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
+    if (tx.span.valid()) payload.set_span(tx.span);
+    return payload;
+  };
+  std::vector<EndpointId> peers;  // an uncoded wave on the wire: one multicast
+  for (std::size_t i = 0; i < tx.targets.size(); ++i) {
+    proto::Request copy = tx.request;
+    if (!tx.chunks.empty()) copy.chunk = tx.chunks[i];
+    if (transport_ == nullptr) {
+      // In-process: a delay-injected hop out, one back, then the same
+      // intake as a datagram.
+      hop(tx.targets[i], [this, copy, span = tx.span](ThreadedReplica& replica) {
+        replica.submit(copy, [this](const proto::Reply& reply) {
+          Duration back_delay;
+          {
+            std::lock_guard lock(mutex_);
+            back_delay = config_.net.sample(rng_);
+          }
+          executor_.post_after(back_delay, [this, reply] { intake(reply); });
+        }, span);
+      }, sends);
+    } else if (auto it = peer_replicas_.find(tx.targets[i]); it != peer_replicas_.end()) {
+      if (tx.chunks.empty()) {
+        peers.push_back(it->second);
+        continue;
+      }
+      sends.push_back([this, peer = it->second, payload = payload_of(copy)]() mutable {
+        transport_->unicast(endpoint_, peer, std::move(payload));
+      });
+    }
+  }
+  if (peers.empty()) return;
+  sends.push_back([this, peers = std::move(peers), payload = payload_of(tx.request)]() mutable {
+    transport_->multicast(endpoint_, peers, std::move(payload));
+  });
+}
+
+void ThreadedClient::stage(const core::Cancellation& cancellation, std::vector<Send>& sends) {
+  std::vector<EndpointId> peers;
+  for (ReplicaId replica : cancellation.targets) {
+    if (transport_ == nullptr) {
+      hop(replica, [cancel = cancellation.cancel](ThreadedReplica& target) {
+        target.cancel(cancel.request, cancel.client);
+      }, sends);
+    } else if (auto it = peer_replicas_.find(replica); it != peer_replicas_.end()) {
+      peers.push_back(it->second);
+    }
+  }
+  if (peers.empty()) return;
+  net::Payload payload = net::Payload::make(cancellation.cancel, proto::kCancelBytes);
+  sends.push_back([this, peers = std::move(peers), payload = std::move(payload)]() mutable {
+    transport_->multicast(endpoint_, peers, std::move(payload));
+  });
+}
+
+void ThreadedClient::hop(ReplicaId id, std::function<void(ThreadedReplica&)> deliver,
+                         std::vector<Send>& sends) {
+  auto it = std::find_if(replicas_.begin(), replicas_.end(),
+                         [id](const ThreadedReplica* r) { return r->id() == id; });
+  if (it == replicas_.end()) return;
+  const Duration delay = config_.net.sample(rng_);
+  sends.push_back([this, replica = *it, delay, deliver = std::move(deliver)] {
+    executor_.post_after(delay, [replica, deliver] { deliver(*replica); });
+  });
+}
+
+void ThreadedClient::collect_garbage(TimePoint now) {
+  while (!garbage_.empty() && garbage_.front().first <= now) {
+    lifecycle_.erase(garbage_.front().second);
+    garbage_.pop_front();
   }
 }
 
 ThreadedClient::Outcome ThreadedClient::invoke(std::int64_t argument) {
-  using SteadyClock = std::chrono::steady_clock;
-  const auto t0 = SteadyClock::now();
-  const TimePoint wall_t0 = obs_ != nullptr ? obs_->wall_now() : TimePoint{};
-
+  const TimePoint t0 = now();
   Outcome outcome;
-  proto::Request request;
-  core::SelectionResult selection;
-  core::DispatchPlan plan;
-  std::vector<ThreadedReplica*> targets;
-  std::vector<ThreadedReplica*> hedge_targets;
-  std::vector<EndpointId> target_endpoints;
-  // Transport mode keeps (replica, endpoint) for every copy it sends so
-  // cancel-on-first-reply can address the still-pending members.
-  std::vector<std::pair<ReplicaId, EndpointId>> primary_peers;
-  std::vector<std::pair<ReplicaId, EndpointId>> hedge_peers;
-  core::QosSpec qos_snapshot;
-  std::uint64_t trace_id = 0;
-  std::uint64_t root_span = 0;
-  obs::SpanContext request_ctx{};
-  auto state = std::make_shared<RequestState>();
-  {
-    std::lock_guard lock(mutex_);
-    qos_snapshot = qos_;
-    request.id = RequestId{next_request_++};
-    request.client = config_.id;
-    request.argument = argument;
+  std::vector<Send> sends;
+  std::unique_lock lock(mutex_);
+  collect_garbage(t0);
+  const core::QosSpec qos = qos_;
+  const RequestId id{next_request_++};
+  lifecycle_.open(id, t0, qos, core::kDefaultMethod, argument);
+  waiting_.push_back(id);
+  outcome.selection_overhead = dispatch(id, /*redispatch=*/false, sends);
+  lock.unlock();
+  flush(sends);
+  lock.lock();
 
-    // delta measured from the real wall clock (§5.3.3), previous value
-    // used for this selection.
-    const auto observations = repository_.observe_all(core::kDefaultMethod, mono_now());
-    const auto select_start = SteadyClock::now();
-    // rng_ powers the load score's two-choice spread; the default config
-    // never draws from it here.
-    selection = selector_.select(observations, qos_snapshot, overhead_.current(), &rng_);
-    const auto select_end = SteadyClock::now();
-    outcome.selection_overhead =
-        std::chrono::duration_cast<Duration>(select_end - select_start);
-    overhead_.record(outcome.selection_overhead);
-
-    if (config_.dispatch.is_default()) {
-      plan.primary = selection.selected;
-    } else {
-      plan = core::plan_dispatch(config_.dispatch, selection, observations, qos_snapshot,
-                                 selector_.model());
+  // Wait for the completing reply. On the way, record the timing failure
+  // at the deadline and release a held hedge set when its timer (t1 +
+  // hedge delay) expires first. The give-up bound also covers the coded
+  // stall path — k−1 chunks then silence returns unanswered.
+  const TimePoint deadline = t0 + qos.deadline;
+  const TimePoint give_up = t0 + qos.deadline * config_.give_up_deadline_factor;
+  for (;;) {
+    const core::RequestLifecycle::Request& request = *lifecycle_.find(id);
+    if (request.delivered) break;
+    const TimePoint at = now();
+    if (!request.outcome_recorded && at >= deadline) {
+      (void)lifecycle_.on_deadline(id, at);
+      continue;
     }
-    // Client-side concurrency compensation: charge the primary wave now;
-    // hedge copies are charged only if the timer actually fires.
-    for (ReplicaId id : plan.primary) repository_.note_dispatch(id);
-    outcome.redundancy = plan.primary.size() + plan.hedge.size();
-    outcome.cold_start = selection.cold_start;
-    outcome.hedged = plan.hedged;
-    outcome.code_k = plan.code_k;
-    // Arm the completion predicate before any copy goes out. Coded
-    // dispatches tag their generation with the request id; uncoded ones
-    // (quorum, and everything default) match the wire default of zero.
-    if (!plan.completion.is_default()) {
-      state->collector.arm(plan.completion, plan.coded ? request.id.value() : 0);
+    const bool hedge_armed = lifecycle_.hedge_armed(id);
+    const TimePoint hedge_at = request.t1 + request.hedge_delay;
+    if (hedge_armed && at >= hedge_at) {
+      if (auto tx = lifecycle_.release_hedge(id)) stage(*tx, sends);
+      lock.unlock();
+      flush(sends);
+      lock.lock();
+      continue;
     }
-    if (plan.coded) {
-      request.code_k = plan.code_k;
-      request.code_id = request.id.value();
-    }
-    if (transport_ != nullptr) {
-      for (ReplicaId id : plan.primary) {
-        auto it = peer_replicas_.find(id);
-        if (it != peer_replicas_.end()) {
-          primary_peers.emplace_back(id, it->second);
-          target_endpoints.push_back(it->second);
-        }
-      }
-      for (ReplicaId id : plan.hedge) {
-        auto it = peer_replicas_.find(id);
-        if (it != peer_replicas_.end()) hedge_peers.emplace_back(id, it->second);
-      }
-      outstanding_.emplace(request.id, state);
-    } else {
-      auto resolve = [this](std::span<const ReplicaId> ids, std::vector<ThreadedReplica*>& out) {
-        for (ReplicaId id : ids) {
-          auto it = std::find_if(replicas_.begin(), replicas_.end(),
-                                 [id](const ThreadedReplica* r) { return r->id() == id; });
-          if (it != replicas_.end()) out.push_back(*it);
-        }
-      };
-      resolve(plan.primary, targets);
-      resolve(plan.hedge, hedge_targets);
-    }
+    if (at >= give_up) break;
+    TimePoint wake = give_up;
+    if (!request.outcome_recorded) wake = std::min(wake, deadline);
+    if (hedge_armed) wake = std::min(wake, hedge_at);
+    decided_.wait_for(lock, wake - at);
   }
 
-  if (span_sink_ != nullptr) {
-    trace_id = obs::make_trace_id(config_.id, request.id);
-    root_span = span_sink_->next_span_id();
-    const std::uint64_t dispatch_span = span_sink_->next_span_id();
-    span_sink_->record_span({.trace_id = trace_id,
-                             .span_id = dispatch_span,
-                             .parent_span_id = root_span,
-                             .kind = obs::SpanKind::kDispatch,
-                             .client = config_.id,
-                             .request = request.id,
-                             .replica = {},
-                             .start = wall_t0,
-                             .end = wall_t0 + outcome.selection_overhead});
-    request_ctx = {.trace_id = trace_id,
-                   .parent_span_id = dispatch_span,
-                   .leg = obs::SpanKind::kRequestLeg,
-                   .replica = {}};
+  const core::RequestLifecycle::Request& request = *lifecycle_.find(id);
+  const core::RequestRecord& record = lifecycle_.record(request);
+  outcome.answered = request.delivered;
+  outcome.timely = record.timely;
+  outcome.response_time = record.response_time.value_or(now() - t0);
+  outcome.redundancy = record.redundancy;
+  outcome.cold_start = record.cold_start;
+  outcome.first_replica = request.first_replica;
+  outcome.result = request.result;
+  outcome.hedged = record.hedged;
+  outcome.hedge_fired = record.hedge_fired;
+  outcome.cancels_sent = record.cancels_sent;
+  outcome.code_k = record.code_k;
+  outcome.chunks_received = request.collector.distinct();
+  std::erase(waiting_, id);
+  if (!lifecycle_.finish_if_complete(id)) {
+    garbage_.emplace_back(now() + qos.deadline * kCollectAfterDeadlines, id);
   }
+  lock.unlock();
 
-  // Fresh chunk indices for coded copies — rateless MDS, so primaries
-  // and later hedge copies all draw from one never-repeating sequence.
-  const bool coded = plan.coded;
-  std::uint32_t next_chunk = 0;
-
-  // In-process send: one delay-injected hop out, one back, the reply
-  // harvested into the repository before delivery resolution. The copy
-  // is taken by value so coded dispatch can stamp a distinct chunk per
-  // target.
-  auto post_to = [this, &state, &request_ctx](ThreadedReplica* replica, proto::Request copy) {
-    Duration out_delay;
-    {
-      std::lock_guard lock(mutex_);
-      out_delay = config_.net.sample(rng_);
-    }
-    executor_.post_after(out_delay, [this, replica, copy = std::move(copy), state, request_ctx] {
-      replica->submit(copy, [this, state](const proto::Reply& reply) {
-        Duration back_delay;
-        {
-          std::lock_guard lock(mutex_);
-          back_delay = config_.net.sample(rng_);
-        }
-        executor_.post_after(back_delay, [this, state, reply] {
-          {
-            std::lock_guard lock(mutex_);
-            if (repository_.contains(reply.replica)) {
-              repository_.record_perf(
-                  reply.replica,
-                  core::PerfSample{reply.perf.service_time, reply.perf.queuing_delay,
-                                   reply.perf.queue_length, reply.perf.sample_seq},
-                  mono_now(), reply.method);
-            }
-          }
-          std::lock_guard slock(state->mutex);
-          state->repliers.push_back(reply.replica);
-          if (!state->delivered &&
-              state->collector.record(reply.replica, reply.chunk, reply.code_id)) {
-            state->delivered = true;
-            state->first_reply = reply;
-            state->cv.notify_all();
-          }
-        });
-      }, request_ctx);
-    });
-  };
-  auto stamp = [&](proto::Request copy) {
-    if (coded) copy.chunk = next_chunk++;
-    return copy;
-  };
-
-  if (transport_ != nullptr) {
-    if (coded) {
-      // Real network, coded: each member gets its own chunk-request.
-      for (const auto& [replica_id, peer] : primary_peers) {
-        net::Payload payload = net::Payload::make(stamp(request), proto::kRequestBytes);
-        if (request_ctx.valid()) payload.set_span(request_ctx);
-        transport_->unicast(endpoint_, peer, std::move(payload));
-      }
-    } else {
-      // Real network: the wire replaces the injected delay hops; the
-      // reply path runs through on_receive.
-      net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-      if (request_ctx.valid()) payload.set_span(request_ctx);
-      transport_->multicast(endpoint_, target_endpoints, std::move(payload));
-    }
-  }
-  for (ThreadedReplica* replica : targets) post_to(replica, stamp(request));
-
-  const auto give_up = t0 + qos_snapshot.deadline * config_.give_up_deadline_factor;
-
-  // Hedged mode: hold the backups until the hedge timer expires, unless
-  // the primary answers first (the common case — the timer sits at the
-  // tail of the primary's predicted response pmf).
-  bool hedge_fired = false;
-  if (!hedge_peers.empty() || !hedge_targets.empty()) {
-    const auto hedge_at = std::min(give_up, t0 + plan.hedge_delay);
-    std::unique_lock slock(state->mutex);
-    state->cv.wait_until(slock, hedge_at, [&state] { return state->delivered; });
-    hedge_fired = !state->delivered;
-  }
-  if (hedge_fired) {
-    outcome.hedge_fired = true;
-    hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(mutex_);
-      for (ReplicaId id : plan.hedge) repository_.note_dispatch(id);
-    }
-    if (!hedge_peers.empty()) {
-      if (coded) {
-        for (const auto& [replica_id, peer] : hedge_peers) {
-          net::Payload payload = net::Payload::make(stamp(request), proto::kRequestBytes);
-          if (request_ctx.valid()) payload.set_span(request_ctx);
-          transport_->unicast(endpoint_, peer, std::move(payload));
-        }
-      } else {
-        std::vector<EndpointId> hedge_endpoints;
-        hedge_endpoints.reserve(hedge_peers.size());
-        for (const auto& [id, endpoint] : hedge_peers) hedge_endpoints.push_back(endpoint);
-        net::Payload payload = net::Payload::make(request, proto::kRequestBytes);
-        if (request_ctx.valid()) payload.set_span(request_ctx);
-        transport_->multicast(endpoint_, hedge_endpoints, std::move(payload));
-      }
-    }
-    for (ThreadedReplica* replica : hedge_targets) post_to(replica, stamp(request));
-  }
-
-  // Wait for the completing reply (the first one, unless a non-default
-  // predicate was armed) or give up. The give-up bound also covers the
-  // coded stall path — k−1 chunks then silence returns unanswered
-  // instead of hanging.
-  proto::Reply first_reply;
-  std::vector<ReplicaId> already_replied;
-  {
-    std::unique_lock slock(state->mutex);
-    state->cv.wait_until(slock, give_up, [&state] { return state->delivered; });
-    outcome.answered = state->delivered;
-    outcome.chunks_received = state->collector.distinct();
-    if (outcome.answered) {
-      first_reply = state->first_reply;
-      outcome.first_replica = first_reply.replica;
-      outcome.result = first_reply.result;
-    }
-    if (coded) already_replied = state->repliers;
-  }
-
-  // Cancel-on-first-reply: purge queued copies at every member that was
-  // sent the request and has not replied — for coded dispatch that is
-  // every replica still owing a chunk beyond the k-th. A copy already in
-  // service is never interrupted (the replica ignores the cancel), and a
-  // backup whose hedge never fired was never sent anything to purge.
-  if (config_.dispatch.cancel_on_first_reply && outcome.answered) {
-    const proto::Cancel cancel{request.id, request.client, request.method};
-    auto replied = [&](ReplicaId id) {
-      if (!coded) return id == outcome.first_replica;
-      return std::find(already_replied.begin(), already_replied.end(), id) !=
-             already_replied.end();
-    };
-    std::size_t sent = 0;
-    if (transport_ != nullptr) {
-      auto cancel_peers = [&](const std::vector<std::pair<ReplicaId, EndpointId>>& peers) {
-        for (const auto& [id, endpoint] : peers) {
-          if (replied(id)) continue;
-          transport_->unicast(endpoint_, endpoint,
-                              net::Payload::make(cancel, proto::kCancelBytes));
-          ++sent;
-        }
-      };
-      cancel_peers(primary_peers);
-      if (hedge_fired) cancel_peers(hedge_peers);
-    } else {
-      auto cancel_targets = [&](const std::vector<ThreadedReplica*>& list) {
-        for (ThreadedReplica* replica : list) {
-          if (replied(replica->id())) continue;
-          Duration out_delay;
-          {
-            std::lock_guard lock(mutex_);
-            out_delay = config_.net.sample(rng_);
-          }
-          executor_.post_after(out_delay, [replica, id = request.id, client = request.client] {
-            replica->cancel(id, client);
-          });
-          ++sent;
-        }
-      };
-      cancel_targets(targets);
-      if (hedge_fired) cancel_targets(hedge_targets);
-    }
-    outcome.cancels_sent = sent;
-    cancels_sent_.fetch_add(sent, std::memory_order_relaxed);
-  }
-
-  if (transport_ != nullptr) {
-    std::lock_guard lock(mutex_);
-    outstanding_.erase(request.id);
-  }
-
-  const auto t4 = SteadyClock::now();
-  outcome.response_time = std::chrono::duration_cast<Duration>(t4 - t0);
-  outcome.timely = outcome.answered && outcome.response_time <= qos_snapshot.deadline;
-  if (span_sink_ != nullptr) {
-    const TimePoint wall_t4 = wall_t0 + outcome.response_time;
-    if (outcome.answered) {
-      span_sink_->record_span({.trace_id = trace_id,
-                               .span_id = span_sink_->next_span_id(),
-                               .parent_span_id = root_span,
-                               .kind = obs::SpanKind::kFirstReply,
-                               .client = config_.id,
-                               .request = request.id,
-                               .replica = outcome.first_replica,
-                               .start = wall_t0 + outcome.selection_overhead,
-                               .end = wall_t4,
-                               .ok = outcome.timely});
-    }
-    // The root closes whether or not any replica answered — a crashed
-    // target set still yields a complete (failed) trace.
-    span_sink_->record_span({.trace_id = trace_id,
-                             .span_id = root_span,
-                             .parent_span_id = 0,
-                             .kind = obs::SpanKind::kRequest,
-                             .client = config_.id,
-                             .request = request.id,
-                             .replica = outcome.first_replica,
-                             .start = wall_t0,
-                             .end = wall_t4,
-                             .ok = outcome.timely});
-  }
   if (requests_counter_ != nullptr) {
     requests_counter_->add();
     if (outcome.answered) answered_counter_->add();
-    (outcome.timely ? timely_counter_ : timing_failures_counter_)->add();
     if (outcome.cold_start) cold_starts_counter_->add();
-    response_time_histogram_->record(outcome.response_time);
     selection_overhead_histogram_->record(outcome.selection_overhead);
   }
-  if (obs_ != nullptr) {
-    // Same record the simulated gateway emits, so to_run_report
-    // aggregates threaded (and multi-process UDP) runs unchanged.
-    obs::RequestTrace tr;
-    tr.client = config_.id;
-    tr.request = request.id;
-    tr.t0 = wall_t0;
-    tr.t1 = wall_t0 + outcome.selection_overhead;
-    tr.deadline = qos_snapshot.deadline;
-    tr.min_probability = qos_snapshot.min_probability;
-    tr.predicted_probability = selection.predicted_probability;
-    tr.redundancy = outcome.redundancy;
-    tr.cold_start = outcome.cold_start;
-    tr.feasible = selection.feasible;
-    tr.answered = outcome.answered;
-    tr.timely = outcome.timely;
-    if (outcome.answered) {
-      tr.t4 = wall_t0 + outcome.response_time;
-      tr.response_time = outcome.response_time;
-      tr.service_time = first_reply.perf.service_time;
-      tr.queuing_delay = first_reply.perf.queuing_delay;
-      tr.gateway_delay =
-          std::max(Duration::zero(), outcome.response_time - first_reply.perf.queuing_delay -
-                                         first_reply.perf.service_time);
-      tr.first_replica = first_reply.replica;
-    }
-    obs_->record_request(tr);
-    // Calibration before the violation check below: on the sample that
-    // trips both detectors, the drift alert lands first in the ring.
-    obs_->record_calibration(obs_->wall_now(), config_.id,
-                             outcome.answered ? first_reply.replica : ReplicaId{},
-                             selection.predicted_probability, outcome.timely);
-  }
-  {
-    std::lock_guard lock(mutex_);
-    tracker_.record(outcome.timely);
-    if (obs_ != nullptr) {
-      const bool violating = tracker_.violates(qos_snapshot.min_probability);
-      if (violating && !violation_reported_) {
-        violation_reported_ = true;
-        obs_->record_alert({.kind = obs::AlertKind::kQosViolation,
-                            .at = obs_->wall_now(),
-                            .client = config_.id,
-                            .replica = {},
-                            .observed = tracker_.timely_fraction(),
-                            .threshold = qos_snapshot.min_probability,
-                            .detail = "timely fraction below requested minimum"});
-      } else if (!violating && violation_reported_) {
-        violation_reported_ = false;
-        obs_->record_alert({.kind = obs::AlertKind::kQosRecovered,
-                            .at = obs_->wall_now(),
-                            .client = config_.id,
-                            .replica = {},
-                            .observed = tracker_.timely_fraction(),
-                            .threshold = qos_snapshot.min_probability,
-                            .detail = "timely fraction recovered"});
-      }
-    }
-    if (outcome.answered) {
-      // Two-way "gateway" delay: total minus queuing minus service.
-      const Duration td = outcome.response_time - first_reply.perf.queuing_delay -
-                          first_reply.perf.service_time;
-      if (repository_.contains(first_reply.replica)) {
-        repository_.record_gateway_delay(first_reply.replica, std::max(Duration::zero(), td),
-                                         mono_now(), first_reply.perf.sample_seq);
-      }
-    }
-  }
   return outcome;
-}
-
-void ThreadedClient::remove_replica(ReplicaId id) {
-  std::lock_guard lock(mutex_);
-  repository_.remove_replica(id);
-  model_cache_->invalidate(id);
-  std::erase_if(replicas_, [id](const ThreadedReplica* r) { return r->id() == id; });
 }
 
 void ThreadedClient::set_qos(core::QosSpec qos) {
   qos.validate();
   std::lock_guard lock(mutex_);
   qos_ = qos;
-  tracker_.reset();
+  lifecycle_.renegotiate(qos_, now());
 }
 
 double ThreadedClient::timely_fraction() const {
   std::lock_guard lock(mutex_);
-  return tracker_.timely_fraction();
+  return lifecycle_.tracker().timely_fraction();
 }
 
 bool ThreadedClient::qos_violated() const {
   std::lock_guard lock(mutex_);
-  return tracker_.violates(qos_.min_probability);
+  return lifecycle_.tracker().violates(qos_.min_probability);
 }
 
 std::size_t ThreadedClient::known_replicas() const {
   std::lock_guard lock(mutex_);
-  return repository_.replica_count();
+  return lifecycle_.repository().replica_count();
 }
 
 }  // namespace aqua::runtime

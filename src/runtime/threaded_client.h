@@ -1,29 +1,28 @@
 // Wall-clock client handler: the paper's selection loop over real threads.
 //
-// invoke() runs the same pipeline as the simulated timing fault handler —
-// observe repository, select with Algorithm 1 (delta measured from the
-// REAL wall clock, as the paper's implementation does), fan the request
-// out through delay-injecting channels, deliver the first reply, harvest
-// performance data from every reply — and blocks until the first reply or
-// a give-up timeout.
+// invoke() drives the same core::RequestLifecycle as the simulated timing
+// fault handler — observe repository, select with Algorithm 1 (delta
+// measured from the REAL wall clock, as the paper's implementation does),
+// plan, transmit at t1, deliver the completing reply, harvest t_d from
+// every reply — and blocks until the completing reply or a give-up
+// timeout. This class adds only what a wall-clock runtime needs: one lock,
+// a condition variable for the deadline / hedge / give-up waits, and the
+// sends (transport datagrams or delay-injected in-process hops).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/failure_tracker.h"
-#include "core/info_repository.h"
-#include "core/policies.h"
-#include "core/qos.h"
-#include "core/selection.h"
+#include "core/request_lifecycle.h"
 #include "net/transport.h"
 #include "runtime/delayed_executor.h"
 #include "runtime/threaded_replica.h"
@@ -121,7 +120,9 @@ class ThreadedClient {
   ThreadedClient(const ThreadedClient&) = delete;
   ThreadedClient& operator=(const ThreadedClient&) = delete;
 
-  /// Issue one request and block for the first reply (or give up).
+  /// Issue one request and block for the completing reply (or give up).
+  /// The request's state outlives the call until its awaited replies
+  /// drain (or a GC at 10 deadlines), so late replies still feed t_d.
   Outcome invoke(std::int64_t argument);
 
   /// Remove a crashed replica from consideration (the runtime analogue of
@@ -156,14 +157,17 @@ class ThreadedClient {
 
   /// Lifetime dispatch counters (thread-safe).
   [[nodiscard]] std::uint64_t hedges_fired() const {
-    return hedges_fired_.load(std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    return lifecycle_.hedges_fired();
   }
   [[nodiscard]] std::uint64_t cancels_sent() const {
-    return cancels_sent_.load(std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    return lifecycle_.cancels_sent();
   }
 
  private:
-  struct RequestState;
+  /// One staged send, run after mutex_ is released.
+  using Send = std::function<void()>;
   /// Host-eviction relay shared with the transport's subscriber list:
   /// the transport cannot unsubscribe, so the callback goes through this
   /// block and the destructor severs `client` under its mutex.
@@ -173,7 +177,26 @@ class ThreadedClient {
   };
 
   void on_receive(EndpointId from, const net::Payload& message);
+  /// The one reply intake of both send paths.
+  void intake(const proto::Reply& reply);
   void evict_host(HostId host);
+  /// The clock every lifecycle time is read from: the telemetry hub's
+  /// wall clock when one is attached (traces and spans share its axis),
+  /// the steady clock otherwise.
+  [[nodiscard]] TimePoint now() const;
+
+  // The following run under mutex_.
+  /// Select, plan and stage the first wave of request `id`; returns the
+  /// wall-clock selection time.
+  Duration dispatch(RequestId id, bool redispatch, std::vector<Send>& sends);
+  void evict(std::span<const ReplicaId> dead, std::vector<Send>& sends);
+  void stage(const core::Transmission& tx, std::vector<Send>& sends);
+  void stage(const core::Cancellation& cancellation, std::vector<Send>& sends);
+  /// In-process send: `deliver` runs on the replica after one net delay.
+  void hop(ReplicaId id, std::function<void(ThreadedReplica&)> deliver, std::vector<Send>& sends);
+  void collect_garbage(TimePoint now);
+
+  static void flush(std::vector<Send>& sends);
 
   std::vector<ThreadedReplica*> replicas_;
   core::QosSpec qos_;
@@ -184,40 +207,32 @@ class ThreadedClient {
   std::shared_ptr<core::ModelCache> model_cache_;
   core::ReplicaSelector selector_;
 
-  mutable std::mutex mutex_;  // guards repository_, tracker_, overhead_, replicas_, rng_
-  core::InfoRepository repository_;
-  core::TimingFailureTracker tracker_;
+  /// Guards everything below except the atomics and the metric pointers.
+  mutable std::mutex mutex_;
+  /// Signalled on every completion; invoke() waits on it.
+  std::condition_variable decided_;
+  core::RequestLifecycle lifecycle_;
   core::OverheadEstimator overhead_;
   std::uint64_t next_request_ = 1;
+  /// Requests an invoke() call is still waiting on (never collected).
+  std::vector<RequestId> waiting_;
+  /// Returned requests with replies outstanding, by collection time.
+  std::deque<std::pair<TimePoint, RequestId>> garbage_;
 
-  /// Transport mode (null otherwise). peer_replicas_ and outstanding_
-  /// are guarded by mutex_; the endpoint is created in the constructor
-  /// and destroyed by shutdown().
+  /// Transport mode (null otherwise). The endpoint is created in the
+  /// constructor and destroyed by shutdown().
   net::Transport* transport_ = nullptr;
   EndpointId endpoint_{};
   std::atomic<bool> endpoint_destroyed_{false};
   std::unordered_map<ReplicaId, EndpointId> peer_replicas_;
-  std::unordered_map<RequestId, std::shared_ptr<RequestState>> outstanding_;
   std::shared_ptr<HostEvictRelay> evict_relay_;
-
-  /// Alert edge state (guarded by mutex_): the last reported
-  /// QoS-violation level, for violation/recovery edge detection.
-  bool violation_reported_ = false;
-
-  std::atomic<std::uint64_t> hedges_fired_{0};
-  std::atomic<std::uint64_t> cancels_sent_{0};
 
   /// Null unless telemetry is attached; safe to update without mutex_
   /// (counters and histograms are internally atomic).
   obs::Telemetry* obs_ = nullptr;
-  /// Non-null only when telemetry is attached and spans are enabled.
-  obs::Telemetry* span_sink_ = nullptr;
   obs::Counter* requests_counter_ = nullptr;
   obs::Counter* answered_counter_ = nullptr;
-  obs::Counter* timely_counter_ = nullptr;
-  obs::Counter* timing_failures_counter_ = nullptr;
   obs::Counter* cold_starts_counter_ = nullptr;
-  obs::Histogram* response_time_histogram_ = nullptr;
   obs::Histogram* selection_overhead_histogram_ = nullptr;
 
   /// Declared last so it is destroyed FIRST: the executor's worker runs
