@@ -132,26 +132,34 @@ ReplicaObservation InfoRepository::observe(ReplicaId replica, const std::string&
                                            TimePoint now) const {
   auto it = records_.find(replica);
   AQUA_REQUIRE(it != records_.end(), "observe() of an untracked replica");
-  const Record& record = it->second;
   ReplicaObservation obs;
+  fill(obs, replica, it->second, method, now);
+  return obs;
+}
+
+void InfoRepository::fill(ReplicaObservation& obs, ReplicaId replica, const Record& record,
+                          const std::string& method, TimePoint now) {
   obs.id = replica;
   obs.method = method;
   obs.generation = record.shared_generation;
   if (auto mit = record.methods.find(method); mit != record.methods.end()) {
-    obs.service_samples = mit->second.service.samples();
-    obs.queuing_samples = mit->second.queuing.samples();
+    mit->second.service.copy_to(obs.service_samples);
+    mit->second.queuing.copy_to(obs.queuing_samples);
     obs.generation = std::max(obs.generation, mit->second.generation);
+  } else {
+    obs.service_samples.clear();
+    obs.queuing_samples.clear();
   }
   obs.gateway_delay = record.gateway_delay;
-  obs.gateway_samples = record.gateway_window.samples();
+  record.gateway_window.copy_to(obs.gateway_samples);
   obs.queue_length = record.queue_length;
   obs.last_update = record.last_update;
   obs.queue_ewma = record.queue_ewma;
   obs.queue_trend = record.queue_trend;
   obs.service_ewma_us = record.service_ewma_us;
   obs.own_inflight = record.own_inflight;
-  if (now != TimePoint{} && now > record.last_update) obs.silence = now - record.last_update;
-  return obs;
+  obs.silence = now != TimePoint{} && now > record.last_update ? now - record.last_update
+                                                               : Duration::zero();
 }
 
 std::uint64_t InfoRepository::generation(ReplicaId replica, const std::string& method) const {
@@ -167,9 +175,15 @@ std::uint64_t InfoRepository::generation(ReplicaId replica, const std::string& m
 std::vector<ReplicaObservation> InfoRepository::observe_all(const std::string& method,
                                                             TimePoint now) const {
   std::vector<ReplicaObservation> out;
-  out.reserve(records_.size());
-  for (const auto& [id, record] : records_) out.push_back(observe(id, method, now));
+  observe_all_into(out, method, now);
   return out;
+}
+
+void InfoRepository::observe_all_into(std::vector<ReplicaObservation>& out,
+                                      const std::string& method, TimePoint now) const {
+  out.resize(records_.size());
+  auto slot = out.begin();
+  for (const auto& [id, record] : records_) fill(*slot++, id, record, method, now);
 }
 
 bool InfoRepository::cold(const std::string& method) const {

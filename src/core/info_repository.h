@@ -113,6 +113,13 @@ class InfoRepository {
   [[nodiscard]] std::vector<ReplicaObservation> observe_all(
       const std::string& method = kDefaultMethod, TimePoint now = TimePoint{}) const;
 
+  /// observe_all() into `out`, overwriting its elements in place: a caller
+  /// that keeps `out` between selections observes without allocating once
+  /// its capacity covers the replica set and the windows.
+  void observe_all_into(std::vector<ReplicaObservation>& out,
+                        const std::string& method = kDefaultMethod,
+                        TimePoint now = TimePoint{}) const;
+
   /// True until the first perf sample for any replica arrives; the
   /// handler selects ALL replicas on a cold repository (§5.4.1).
   [[nodiscard]] bool cold(const std::string& method = kDefaultMethod) const;
@@ -177,6 +184,9 @@ class InfoRepository {
   };
 
   Record& record_for(ReplicaId replica);
+  /// Overwrite every field of `obs` with the snapshot of one record.
+  static void fill(ReplicaObservation& obs, ReplicaId replica, const Record& record,
+                   const std::string& method, TimePoint now);
   void resolve_load_gauges(ReplicaId replica, Record& record);
 
   RepositoryConfig config_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/assert.h"
 #include "common/rng.h"
@@ -77,6 +76,29 @@ void two_choice_spread(std::vector<RankedReplica>& ranked,
   }
 }
 
+namespace {
+
+bool distinct_ids(std::span<const ReplicaObservation> observations) {
+  // The repository hands out observations in id order, where strictly
+  // increasing ids prove distinctness in one pass; any other order falls
+  // back to comparing pairs. Neither allocates.
+  const auto not_increasing = [](const ReplicaObservation& a, const ReplicaObservation& b) {
+    return !(a.id < b.id);
+  };
+  if (std::adjacent_find(observations.begin(), observations.end(), not_increasing) ==
+      observations.end()) {
+    return true;
+  }
+  for (auto it = observations.begin(); it != observations.end(); ++it) {
+    for (auto other = std::next(it); other != observations.end(); ++other) {
+      if (it->id == other->id) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 ReplicaSelector::ReplicaSelector(SelectionConfig config, ResponseTimeModel model)
     : config_(config), model_(std::move(model)) {}
 
@@ -85,12 +107,7 @@ SelectionResult ReplicaSelector::select(std::span<const ReplicaObservation> obse
                                         Rng* rng) const {
   AQUA_REQUIRE(!observations.empty(), "selection requires at least one replica");
   qos.validate();
-  {
-    std::unordered_set<ReplicaId> seen;
-    for (const ReplicaObservation& obs : observations) {
-      AQUA_REQUIRE(seen.insert(obs.id).second, "duplicate replica in observations");
-    }
-  }
+  AQUA_REQUIRE(distinct_ids(observations), "duplicate replica in observations");
 
   SelectionResult result;
 

@@ -136,7 +136,8 @@ void TimingFaultHandler::dispatch(RequestId id, bool redispatch) {
   const core::RequestLifecycle::Request& request = *lifecycle_.find(id);
   // Observe with the clock so silence (and thus the liveness guess and
   // the adaptive-trim live filter) is populated.
-  const auto observations = lifecycle_.repository().observe_all(request.method, simulator_.now());
+  lifecycle_.repository().observe_all_into(observations_, request.method, simulator_.now());
+  const std::vector<core::ReplicaObservation>& observations = observations_;
   if (observations.empty()) {
     // No replicas discovered yet (the Announce handshake is still in
     // flight). handle_announce() re-dispatches as soon as one appears; if

@@ -237,6 +237,9 @@ class TimingFaultHandler {
   std::unordered_map<ReplicaId, EndpointId> replica_endpoints_;
   std::unordered_map<EndpointId, ReplicaId> endpoint_replicas_;
   std::unordered_map<RequestId, Timers> timers_;
+  /// dispatch()'s repository snapshot, kept between selections so its
+  /// vectors' capacity is reused.
+  std::vector<core::ReplicaObservation> observations_;
   QosViolationCallback on_violation_;
   sim::EventHandle parked_dispatch_;
   sim::PeriodicTask probe_task_;

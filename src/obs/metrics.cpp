@@ -27,13 +27,9 @@ std::int64_t HistogramBins::quantile(double q) const {
     cumulative += bins[bin];
     if (cumulative < rank) continue;
     if (bin == Histogram::kOverflowBin) return max_us;
-    if (cumulative == rank) {
-      // The ranked sample is the LAST one in this bin: every sample at
-      // or below the rank fits under the bin's lower edge's successor,
-      // so report the lower edge rather than overstating by a full bin.
-      return bin == 0 ? 0 : Histogram::bin_upper_bound(bin - 1);
-    }
-    return Histogram::bin_upper_bound(bin);
+    // The ranked sample lives in this bin, so neither its upper bound nor
+    // the largest value recorded can under-report it.
+    return std::min(Histogram::bin_upper_bound(bin), max_us);
   }
   // Concurrent writers can leave count ahead of the bin sums for a
   // moment; fall back to the largest value seen.

@@ -77,13 +77,11 @@ class Gauge {
 /// plus one overflow bin. Recording is a relaxed atomic increment on the
 /// owning bin plus count/sum/max bookkeeping — no allocation, no lock.
 /// Quantiles walk the cumulative bin counts and report the matched bin's
-/// upper bound (<= one bin width of error), with three exactness fixes:
-/// a rank at or past the last sample (e.g. p999 with n < 1000) reports
-/// the exact recorded max; a rank landing exactly on a bin's cumulative
-/// boundary reports the bin's lower edge (the ranked sample is the last
-/// in the bin, so the upper edge would overstate by a full bin width);
-/// and a quantile landing in the overflow bin reports the exact maximum
-/// recorded value instead of a made-up bound.
+/// upper bound capped at the recorded maximum (<= one bin width of error,
+/// never below the exact nearest-rank value, and monotone: a stream whose
+/// every sample is <= its partner in another never reports a larger
+/// quantile). A rank at or past the last sample (e.g. p999 with n < 1000)
+/// and a rank in the overflow bin report the exact recorded maximum.
 class Histogram {
  public:
   static constexpr std::size_t kBinsPerDecade = 9;

@@ -1,37 +1,64 @@
 #include "sim/simulator.h"
 
-#include "common/assert.h"
-
 namespace aqua::sim {
 
 bool EventHandle::cancel() {
-  if (!state_ || state_->cancelled || state_->fired) return false;
-  state_->cancelled = true;
-  state_->fn = nullptr;  // release captured resources promptly
+  return simulator_ != nullptr && simulator_->cancel(slot_, generation_);
+}
+
+bool EventHandle::pending() const {
+  return simulator_ != nullptr && simulator_->pending(slot_, generation_);
+}
+
+Simulator::~Simulator() {
+  for (const auto& chunk : chunks_) {
+    for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
+      Slot& slot = chunk[i];
+      if (slot.ops != nullptr) std::exchange(slot.ops, nullptr)->destroy(slot.storage);
+    }
+  }
+}
+
+std::uint32_t Simulator::acquire_slot() {
+  if (free_head_ == kNoSlot) {
+    AQUA_REQUIRE(chunks_.size() < (kNoSlot >> kChunkShift), "too many pending events");
+    const auto base = static_cast<std::uint32_t>(chunks_.size()) << kChunkShift;
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    // Lowest index first, so a fresh table fills in order.
+    for (std::uint32_t i = kChunkSlots; i-- > 0;) push_free(base + i);
+  }
+  const std::uint32_t index = free_head_;
+  free_head_ = slot_at(index).next_free;
+  return index;
+}
+
+void Simulator::release_slot(std::uint32_t index) {
+  Slot& slot = slot_at(index);
+  std::exchange(slot.ops, nullptr)->destroy(slot.storage);
+  push_free(index);
+}
+
+EventHandle Simulator::enqueue(TimePoint at, std::uint32_t index) {
+  const std::uint64_t generation = ++next_seq_;  // never 0: 0 marks a free slot
+  slot_at(index).generation = generation;
+  queue_.push(Entry{at, generation, index});
+  ++live_count_;
+  return EventHandle{this, index, generation};
+}
+
+bool Simulator::cancel(std::uint32_t index, std::uint64_t generation) {
+  if (!pending(index, generation)) return false;
+  slot_at(index).generation = 0;
+  --live_count_;
+  // Release captured resources promptly; the heap entry goes stale and is
+  // skipped when it reaches the front.
+  release_slot(index);
   return true;
 }
 
-bool EventHandle::pending() const { return state_ && !state_->cancelled && !state_->fired; }
-
-EventHandle Simulator::schedule_at(TimePoint at, EventFn fn) {
-  AQUA_REQUIRE(at >= now_, "cannot schedule an event in the past");
-  AQUA_REQUIRE(fn != nullptr, "event function must be callable");
-  auto state = std::make_shared<detail::EventState>();
-  state->fn = std::move(fn);
-  queue_.push(Entry{at, next_seq_++, state});
-  ++live_count_;
-  return EventHandle{std::move(state)};
-}
-
-EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
-  AQUA_REQUIRE(delay >= Duration::zero(), "event delay must be non-negative");
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
 void Simulator::drop_cancelled_front() {
-  while (!queue_.empty() && queue_.top().state->cancelled) {
+  while (!queue_.empty() && slot_at(queue_.top().slot).generation != queue_.top().seq) {
     queue_.pop();
-    --live_count_;
   }
 }
 
@@ -40,16 +67,23 @@ bool Simulator::execute_next() {
   drop_cancelled_front();
   if (queue_.empty()) return false;
   if (budget_.has_value()) --*budget_;
-  Entry entry = queue_.top();
+  const Entry entry = queue_.top();
   queue_.pop();
   --live_count_;
   AQUA_ASSERT(entry.at >= now_);
   now_ = entry.at;
-  entry.state->fired = true;
-  EventFn fn = std::move(entry.state->fn);
-  entry.state->fn = nullptr;
+  Slot& slot = slot_at(entry.slot);
+  slot.generation = 0;  // fired: its handles are inert from here on
   ++executed_;
-  fn();
+  // The slot stays off the free list while its callable runs, and chunks
+  // never move, so events scheduled by the callback cannot disturb it. The
+  // guard frees it afterwards, also when the callback throws.
+  struct Release {
+    Simulator& simulator;
+    std::uint32_t index;
+    ~Release() { simulator.release_slot(index); }
+  } release{*this, entry.slot};
+  slot.ops->call(slot.storage);
   return true;
 }
 

@@ -37,12 +37,19 @@ class SlidingWindow {
   /// (l <= a few dozen) and callers feed the result straight into a pmf.
   [[nodiscard]] std::vector<T> samples() const {
     std::vector<T> out;
+    copy_to(out);
+    return out;
+  }
+
+  /// samples() into `out`, replacing its contents; allocates only when
+  /// `out`'s capacity is below size().
+  void copy_to(std::vector<T>& out) const {
+    out.clear();
     out.reserve(size_);
     const std::size_t start = full() ? next_ : 0;
     for (std::size_t i = 0; i < size_; ++i) {
       out.push_back(buffer_[(start + i) % buffer_.size()]);
     }
-    return out;
   }
 
   /// Most recent sample; requires a non-empty window.

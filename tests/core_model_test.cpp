@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace aqua::core {
@@ -139,6 +141,35 @@ TEST(ResponseTimeModelTest, QueueBacklogShiftUsesUnbinnedServiceMean) {
   EXPECT_DOUBLE_EQ(model.probability_by(obs, msec(100)), 0.0);  // the buggy value
   EXPECT_DOUBLE_EQ(model.probability_by(obs, msec(119)), 0.0);
   EXPECT_DOUBLE_EQ(model.probability_by(obs, msec(120)), 1.0);
+}
+
+TEST(ResponseTimeModelTest, AbsurdBacklogSaturatesToNever) {
+  // A hostile queue_length near INT64_MAX: queue_length x mean(S) is far
+  // past Duration's range, where llround is undefined. The model must
+  // saturate to "never in time" (run under ENABLE_UBSAN to see the UB).
+  ModelConfig cfg;
+  cfg.queue_backlog_shift = true;
+  ResponseTimeModel model{cfg};
+  const auto obs =
+      observation({100}, {0}, 1, /*queue_length=*/std::numeric_limits<std::int64_t>::max() - 1);
+  EXPECT_DOUBLE_EQ(model.probability_by(obs, msec(100)), 0.0);
+  EXPECT_DOUBLE_EQ(model.probability_by(obs, sec(1'000'000'000)), 0.0);
+  EXPECT_FALSE(model.response_pmf(obs).empty());
+}
+
+TEST(ResponseTimeModelTest, BacklogThatOverflowsTheShiftSaturatesToNever) {
+  // The backlog alone fits in Duration, but adding it to the support and
+  // the gateway delay would not.
+  ModelConfig cfg;
+  cfg.queue_backlog_shift = true;
+  ResponseTimeModel model{cfg};
+  auto obs = observation({}, {0}, 0, /*queue_length=*/std::int64_t{1} << 61);
+  obs.service_samples = {usec(3)};  // backlog 3 x 2^61 us < 2^63
+  obs.gateway_delay = usec(std::int64_t{1} << 62);
+  EXPECT_DOUBLE_EQ(model.probability_by(obs, sec(1'000'000'000)), 0.0);
+  cfg.windowed_gateway_delay = true;
+  obs.gateway_samples = {obs.gateway_delay};
+  EXPECT_DOUBLE_EQ(ResponseTimeModel{cfg}.probability_by(obs, sec(1'000'000'000)), 0.0);
 }
 
 TEST(ResponseTimeModelTest, ModelConfigValidation) {

@@ -28,6 +28,28 @@ TEST(AquaSystemTest, BuildsReplicasAndClients) {
   EXPECT_EQ(system.clients().size(), 1u);
 }
 
+TEST(AquaSystemTest, DestroyingMidRunOutlivesEveryEventHandle) {
+  // Event handles may only be used while their simulator lives. The
+  // system declares its simulator first, so it is destroyed last: the
+  // handlers, replicas and apps (holding deadline, hedge, completion and
+  // give-up handles) go first, then the simulator frees the callbacks
+  // still pending. The sanitizer builds check this teardown.
+  for (const std::int64_t stop_ms : {1, 95, 150, 420}) {
+    AquaSystem system{quiet_system()};
+    for (int i = 0; i < 4; ++i) {
+      system.add_replica(replica::make_sampled_service(stats::make_constant(msec(40))));
+    }
+    HandlerConfig config;
+    config.dispatch.mode = core::DispatchMode::kHedged;
+    ClientWorkload workload = small_workload(0);
+    workload.give_up_after = msec(300);
+    system.add_client(core::QosSpec{msec(100), 0.9}, workload, config);
+    system.add_client(core::QosSpec{msec(200), 0.5}, small_workload(0, msec(5)));
+    system.run_for(msec(stop_ms));
+    EXPECT_GT(system.simulator().pending_events(), 0u) << "stop at " << stop_ms << " ms";
+  }
+}
+
 TEST(AquaSystemTest, ReplicasGetDistinctHostsAndIds) {
   AquaSystem system{quiet_system()};
   auto& r1 = system.add_replica(replica::make_sampled_service(stats::make_constant(msec(1))));

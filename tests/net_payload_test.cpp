@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 
 namespace aqua::net {
@@ -54,6 +56,35 @@ TEST(PayloadTest, StructBodiesWork) {
   ASSERT_NE(p.get_if<Body>(), nullptr);
   EXPECT_EQ(p.get_if<Body>()->a, 3);
   EXPECT_DOUBLE_EQ(p.get_if<Body>()->b, 2.5);
+}
+
+TEST(PayloadTest, GetIfMatchesTheExactTypeOnly) {
+  struct Base {
+    int a = 1;
+  };
+  struct Derived : Base {};
+  const Payload p = Payload::make(Derived{}, 8);
+  EXPECT_EQ(p.get_if<Base>(), nullptr);  // no derived-to-base match
+  ASSERT_NE(p.get_if<Derived>(), nullptr);
+  EXPECT_EQ(p.get_if<const Derived>(), p.get_if<Derived>());  // cv ignored
+  const Payload q = Payload::make(std::int64_t{7}, 8);
+  EXPECT_EQ(q.get_if<int>(), nullptr);  // no arithmetic conversion
+  EXPECT_EQ(q.get_if<std::uint64_t>(), nullptr);
+}
+
+TEST(PayloadTest, LargeBodiesRoundTrip) {
+  struct Big {
+    std::array<std::int64_t, 32> words{};
+    std::string tag;
+  };
+  Big big;
+  big.words[31] = 99;
+  big.tag = std::string(100, 'x');
+  const Payload p = Payload::make(big, 512);
+  const Payload copy = p;
+  ASSERT_NE(copy.get_if<Big>(), nullptr);
+  EXPECT_EQ(copy.get_if<Big>()->words[31], 99);
+  EXPECT_EQ(copy.get_if<Big>()->tag, big.tag);
 }
 
 }  // namespace

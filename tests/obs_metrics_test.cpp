@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <random>
 #include <vector>
 
 namespace aqua::obs {
@@ -62,11 +66,11 @@ TEST(HistogramQuantile, NearestRankAgainstExactDistribution) {
   for (int i = 0; i < 40; ++i) h.record_value(70);
   for (int i = 0; i < 10; ++i) h.record_value(4000);
   EXPECT_EQ(h.count(), 100u);
-  // Rank 50 is the LAST sample of the 3us bin (cumulative == rank), so
-  // the bin's lower edge bounds it tighter than its 3us upper bound.
-  EXPECT_EQ(h.quantile(0.5), 2);
+  // Rank 50 is the LAST sample of the 3us bin (cumulative == rank); the
+  // bin's upper bound is still the answer, since the sample may sit on it.
+  EXPECT_EQ(h.quantile(0.5), 3);
   EXPECT_EQ(h.quantile(0.51), 70);  // rank 51 crosses into the 70us bin
-  EXPECT_EQ(h.quantile(0.9), 60);   // rank 90: last sample of the 70us bin
+  EXPECT_EQ(h.quantile(0.9), 70);   // rank 90: last sample of the 70us bin
   EXPECT_EQ(h.quantile(0.91), 4000);
   EXPECT_EQ(h.quantile(1.0), 4000);
 }
@@ -85,21 +89,95 @@ TEST(HistogramQuantile, RankPastLastSampleReportsExactMax) {
   EXPECT_EQ(h.quantile(0.5), 10);
 }
 
-TEST(HistogramQuantile, RankOnBinBoundaryReportsLowerEdge) {
+TEST(HistogramQuantile, RankOnBinBoundaryReportsCappedUpperBound) {
   Histogram h;
-  // 10 samples at 45us (50us bin), 10 at 450us (500us bin). Rank 10 ==
-  // the 50us bin's cumulative count: the ranked sample is <= 45 < 50, so
-  // the previous bin's 40us bound is the tight answer.
+  // 10 samples at 45us (50us bin), 10 at 450us (500us bin). Rank 10 is
+  // the last sample of the 50us bin; a sample there may equal 50, so the
+  // previous bin's 40us bound would under-report. The upper bound it is.
   for (int i = 0; i < 10; ++i) h.record_value(45);
   for (int i = 0; i < 10; ++i) h.record_value(450);
-  EXPECT_EQ(h.quantile(0.5), 40);
-  // One rank past the boundary crosses into the next bin's bound.
-  EXPECT_EQ(h.quantile(0.55), 500);
-  // Boundary landing in bin 0 has no previous bin; reports 0.
+  EXPECT_EQ(h.quantile(0.5), 50);
+  // One rank past the boundary lands in the 500us bin, whose bound is
+  // capped at the 450us maximum actually recorded.
+  EXPECT_EQ(h.quantile(0.55), 450);
+  // A boundary rank in bin 0 reports that bin's 1us bound, not 0.
   Histogram low;
   for (int i = 0; i < 4; ++i) low.record_value(1);
   for (int i = 0; i < 4; ++i) low.record_value(7);
-  EXPECT_EQ(low.quantile(0.5), 0);
+  EXPECT_EQ(low.quantile(0.5), 1);
+}
+
+/// Exact nearest-rank quantile of `values` (sorted copy).
+std::int64_t exact_quantile(std::vector<std::int64_t> values, double q) {
+  std::sort(values.begin(), values.end());
+  const auto n = static_cast<double>(values.size());
+  const auto rank = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(q * n)));
+  return values[std::min(rank, values.size()) - 1];
+}
+
+constexpr std::array<double, 9> kQuantiles = {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0};
+
+TEST(HistogramQuantileProperty, NeverBelowExactNearestRank) {
+  std::mt19937_64 rng(20260417);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % 300;
+    std::vector<std::int64_t> values(n);
+    Histogram h;
+    for (auto& v : values) {
+      // Log-uniform over 1us..10s, so every decade sees boundary ranks.
+      v = static_cast<std::int64_t>(std::pow(10.0, std::uniform_real_distribution<>(0, 7)(rng)));
+      h.record_value(v);
+    }
+    for (double q : kQuantiles) {
+      const std::int64_t exact = exact_quantile(values, q);
+      EXPECT_GE(h.quantile(q), exact) << "trial " << trial << " q " << q;
+      // ... and within the owning bin's bound.
+      EXPECT_LE(h.quantile(q), Histogram::bin_upper_bound(Histogram::bin_index(exact)))
+          << "trial " << trial << " q " << q;
+    }
+  }
+}
+
+TEST(HistogramQuantileProperty, DominatedStreamNeverReportsMore) {
+  // Paired samples with x_i <= y_i for every i (service time <= end to
+  // end, per trace): every quantile of X must be <= that of Y.
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % 300;
+    Histogram x;
+    Histogram y;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto xi =
+          static_cast<std::int64_t>(std::pow(10.0, std::uniform_real_distribution<>(0, 7)(rng)));
+      // Often equal, otherwise up to twice as large.
+      const std::int64_t extra =
+          rng() % 3 == 0 ? 0 : static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(xi + 1));
+      x.record_value(xi);
+      y.record_value(xi + extra);
+    }
+    for (double q : kQuantiles) {
+      EXPECT_LE(x.quantile(q), y.quantile(q)) << "trial " << trial << " q " << q;
+    }
+  }
+}
+
+TEST(HistogramQuantileProperty, PairedServiceAndEndToEndKeepTheirOrder) {
+  // The inversion the old lower-edge rule produced: service <= e2e for
+  // every trace, yet it reported p99 service 7000us > p99 e2e 6000us
+  // while the exact p99 values are 6500us and 6600us.
+  Histogram service;
+  Histogram end_to_end;
+  for (int i = 0; i < 98; ++i) {
+    service.record_value(100);
+    end_to_end.record_value(6000);
+  }
+  service.record_value(6500);
+  end_to_end.record_value(6600);
+  service.record_value(6500);
+  end_to_end.record_value(90'000);
+  EXPECT_LE(service.quantile(0.99), end_to_end.quantile(0.99));
+  EXPECT_GE(service.quantile(0.99), 6500);
+  EXPECT_GE(end_to_end.quantile(0.99), 6600);
 }
 
 TEST(HistogramQuantile, OverflowBinReportsExactMaximum) {

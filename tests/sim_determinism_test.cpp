@@ -3,6 +3,8 @@
 // repository reproducible.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,11 +26,14 @@ std::vector<std::pair<std::int64_t, std::int64_t>> run_workload(std::uint64_t se
   for (int p = 0; p < 3; ++p) {
     std::shared_ptr<std::function<void()>> tick = std::make_shared<std::function<void()>>();
     Rng process_rng = rng.fork(static_cast<std::uint64_t>(p));
-    *tick = [&sim, &trace, &sampler, tick, process_rng]() mutable {
+    // The pending event owns the process; the process only refers back
+    // weakly, so the chain is freed once it stops or the simulator dies.
+    std::weak_ptr<std::function<void()>> self = tick;
+    *tick = [&sim, &trace, &sampler, self, process_rng]() mutable {
       if (trace.size() >= 300) return;
       const Duration delay = sampler->sample(process_rng);
       trace.emplace_back(count_us(sim.now()), count_us(delay));
-      sim.schedule_after(delay, [tick] { (*tick)(); });
+      sim.schedule_after(delay, [next = self.lock()] { (*next)(); });
     };
     sim.schedule_after(usec(p * 100), [tick] { (*tick)(); });
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -218,6 +221,166 @@ TEST(SimulatorTest, EventCancellingSameTimestampLaterEvent) {
   second = sim.schedule_after(msec(5), [&] { second_fired = true; });
   sim.run();
   EXPECT_FALSE(second_fired);
+}
+
+TEST(SimulatorTest, CancelTakesEffectOnPendingCountAtOnce) {
+  Simulator sim;
+  EventHandle a = sim.schedule_after(msec(1), [] {});
+  sim.schedule_after(msec(2), [] {});
+  ASSERT_TRUE(a.cancel());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(a.cancel());
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(EventHandleTest, StaleHandleIgnoresTheEventRecyclingItsSlot) {
+  Simulator sim;
+  int first = 0;
+  int second = 0;
+  EventHandle stale = sim.schedule_after(msec(1), [&] { ++first; });
+  ASSERT_TRUE(stale.cancel());
+  // The freed slot is the only one on the free list, so the next event
+  // takes it over with a new generation.
+  EventHandle fresh = sim.schedule_after(msec(1), [&] { ++second; });
+  EXPECT_FALSE(stale.pending());
+  EXPECT_FALSE(stale.cancel());
+  EXPECT_TRUE(fresh.pending());
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+
+  // Same after the slot's event FIRED rather than being cancelled.
+  EventHandle fired = sim.schedule_after(msec(1), [] {});
+  sim.run();
+  int third = 0;
+  EventHandle next = sim.schedule_after(msec(1), [&] { ++third; });
+  EXPECT_FALSE(fired.pending());
+  EXPECT_FALSE(fired.cancel());
+  EXPECT_TRUE(next.pending());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(third, 1);
+}
+
+TEST(EventHandleTest, StaleHandlesStayInertAcrossManyRecycles) {
+  Simulator sim;
+  std::vector<EventHandle> old;
+  int fired = 0;
+  for (int round = 0; round < 2000; ++round) {
+    EventHandle h = sim.schedule_after(usec(round % 7), [&] { ++fired; });
+    if (round % 3 == 0) h.cancel();
+    for (EventHandle& stale : old) {
+      EXPECT_FALSE(stale.cancel());
+      EXPECT_FALSE(stale.pending());
+    }
+    ASSERT_EQ(sim.pending_events(), round % 3 == 0 ? 0u : 1u);
+    sim.run();
+    old.push_back(h);
+    if (old.size() > 8) old.erase(old.begin());
+  }
+  EXPECT_EQ(fired, 2000 - 667);
+}
+
+TEST(EventHandleTest, EventIsNoLongerPendingInsideItsOwnCallback) {
+  Simulator sim;
+  EventHandle self;
+  bool pending_inside = true;
+  bool cancelled_inside = true;
+  self = sim.schedule_after(msec(1), [&] {
+    pending_inside = self.pending();
+    cancelled_inside = self.cancel();
+  });
+  sim.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancelled_inside);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(EventHandleTest, CallbackCancelsAnotherEventAtTheSameTimestamp) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle victim;
+  sim.schedule_after(msec(5), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(victim.pending());
+    EXPECT_TRUE(victim.cancel());
+    EXPECT_EQ(sim.pending_events(), 1u);  // only the survivor below
+  });
+  victim = sim.schedule_after(msec(5), [&] { order.push_back(2); });
+  sim.schedule_after(msec(5), [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_FALSE(victim.pending());
+}
+
+TEST(EventHandleTest, CallbackReschedulingIntoItsFreedSlotKeepsFifoOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle a = sim.schedule_after(msec(1), [&] { order.push_back(1); });
+  sim.schedule_after(msec(1), [&] {
+    order.push_back(2);
+    // Recycles a's slot while this callback still runs in its own.
+    sim.schedule_after(Duration::zero(), [&] { order.push_back(4); });
+  });
+  sim.schedule_after(msec(1), [&] { order.push_back(3); });
+  ASSERT_TRUE(a.cancel());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+TEST(EventHandleTest, ClosuresLargerThanTheInlineCapacityRunAndAreReleased) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::array<std::int64_t, 64> big{};  // 512 bytes: stored on the heap
+  static_assert(sizeof(big) > Simulator::kInlineCapacity);
+  big[63] = 41;
+  std::int64_t seen = 0;
+  sim.schedule_after(msec(1), [big, token, &seen] { seen = big[63] + 1; });
+  EventHandle cancelled = sim.schedule_after(msec(2), [big, token] { (void)big; });
+  EXPECT_EQ(token.use_count(), 3);
+  ASSERT_TRUE(cancelled.cancel());
+  EXPECT_EQ(token.use_count(), 2);  // released at cancel, not at pop
+  sim.run();
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventHandleTest, SimulatorDestroysPendingCallbacks) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.schedule_after(msec(1), [token] {});
+    sim.schedule_after(msec(2), [token, pad = std::array<char, 256>{}] { (void)pad; });
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventHandleTest, CallbackThatThrowsReleasesItsSlot) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  sim.schedule_after(msec(1), [token] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  bool ran = false;
+  sim.schedule_after(msec(1), [&] { ran = true; });
+  sim.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventHandleTest, HandlesMayOutliveTheirSimulatorButNotBeUsed) {
+  // Ownership rule: destroying or overwriting a handle after its
+  // simulator is gone is safe; calling cancel()/pending() is not (and
+  // AquaSystem's declaration order rules it out for its components).
+  EventHandle survivor;
+  {
+    Simulator sim;
+    survivor = sim.schedule_after(msec(1), [] {});
+  }
+  survivor = EventHandle{};
+  EXPECT_FALSE(survivor.pending());
 }
 
 }  // namespace

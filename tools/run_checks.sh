@@ -20,6 +20,11 @@
 # with conserved merged counters, and a real gateway + 2-replica process
 # fleet over loopback UDP must yield at least one fully-stitched trace
 # whose merged counters equal the sum of the per-node /metrics totals.
+# The memory-safety passes cover the simulator's slot table and in-place
+# event storage: an AddressSanitizer build runs the sim_*, net_payload,
+# gateway and allocation-budget tests plus the sim golden, and an
+# UndefinedBehaviorSanitizer build runs the response-time model tests
+# (the saturated queue-backlog shift).
 #
 # Usage: tools/run_checks.sh [jobs]
 set -euo pipefail
@@ -235,5 +240,28 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 step "Transport conformance + UDP runtime (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
   -R 'SimConformance|UdpConformance|RuntimeTransportTest|UdpRegressionTest'
+
+ASAN_TESTS=()
+for test_source in tests/sim_*_test.cpp tests/net_payload_test.cpp tests/gateway_*_test.cpp; do
+  ASAN_TESTS+=("$(basename "${test_source}" .cpp)")
+done
+
+step "Configure + build: AddressSanitizer (build-asan/), simulator and gateway tests"
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON >/dev/null
+cmake --build build-asan -j "${JOBS}" --target "${ASAN_TESTS[@]}" \
+  fig4_selected_replicas fig5_timing_failures aqua_experiment
+
+step "Event memory: sim_*, net_payload, gateway and allocation-budget tests (ASan)"
+for test_binary in "${ASAN_TESTS[@]}"; do
+  "build-asan/tests/${test_binary}" --gtest_brief=1
+done
+ctest --test-dir build-asan --output-on-failure -R '^sim_golden$'
+
+step "Configure + build: UndefinedBehaviorSanitizer (build-ubsan/), model tests"
+cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_UBSAN=ON >/dev/null
+cmake --build build-ubsan -j "${JOBS}" --target core_model_test
+
+step "Response-time model incl. saturated backlog shift (UBSan)"
+build-ubsan/tests/core_model_test --gtest_brief=1
 
 step "All checks passed"
