@@ -31,6 +31,10 @@ RequestLifecycle::RequestLifecycle(ClientId client, const RepositoryConfig& repo
   cancels_counter_ = &metrics.counter(metric_prefix + ".cancels");
   qos_violations_counter_ = &metrics.counter(metric_prefix + ".qos_violations");
   response_time_histogram_ = &metrics.histogram(metric_prefix + ".response_time_us");
+  rejected_negative_service_ = &metrics.counter("wire.rejected.negative_service_time");
+  rejected_negative_queuing_ = &metrics.counter("wire.rejected.negative_queuing_delay");
+  rejected_negative_queue_length_ = &metrics.counter("wire.rejected.negative_queue_length");
+  rejected_perf_overflow_ = &metrics.counter("wire.rejected.perf_overflow");
   repository_.set_telemetry(obs_);
   if (obs_->spans_enabled()) span_sink_ = obs_;
 }
@@ -269,18 +273,24 @@ std::optional<Transmission> RequestLifecycle::release_hedge(RequestId id) {
 }
 
 bool RequestLifecycle::admissible(const proto::PerfData& perf) {
-  const char* reason = nullptr;
+  obs::Counter* rejected = nullptr;
+  std::int64_t perf_us = 0;
   if (perf.service_time < Duration::zero()) {
-    reason = "negative_service_time";
+    rejected = rejected_negative_service_;
   } else if (perf.queuing_delay < Duration::zero()) {
-    reason = "negative_queuing_delay";
+    rejected = rejected_negative_queuing_;
   } else if (perf.queue_length < 0) {
-    reason = "negative_queue_length";
+    rejected = rejected_negative_queue_length_;
+  } else if (__builtin_add_overflow(perf.service_time.count(), perf.queuing_delay.count(),
+                                    &perf_us)) {
+    // t_s + t_q is the t_d formula's subtrahend.
+    rejected = rejected_perf_overflow_;
+  } else {
+    return true;
   }
-  if (reason == nullptr) return true;
   // Dropped before the repository's preconditions could throw on a
   // transport thread.
-  if (obs_ != nullptr) obs_->metrics().counter(std::string("wire.rejected.") + reason).add();
+  if (rejected != nullptr) rejected->add();
   return false;
 }
 
@@ -302,7 +312,14 @@ ReplyIntake RequestLifecycle::on_reply(const proto::Reply& reply, TimePoint t4) 
   // selection time is already charged through F(t - delta). A negative
   // raw value means the clock bases disagree (or a redispatch reset t1
   // after this copy left): clamped, and counted so it stays visible.
-  const Duration td_raw = t4 - request.t1 - reply.perf.queuing_delay - reply.perf.service_time;
+  // t_q + t_s is in range (admissible); a difference past Duration's
+  // range can only be a hugely negative one, clamped like the rest.
+  std::int64_t td_us = 0;
+  const Duration td_raw =
+      __builtin_sub_overflow((t4 - request.t1).count(),
+                             (reply.perf.queuing_delay + reply.perf.service_time).count(), &td_us)
+          ? Duration::min()
+          : Duration{td_us};
   if (td_raw < Duration::zero()) {
     ++td_clamped_;
     if (td_clamped_counter_ != nullptr) td_clamped_counter_->add();

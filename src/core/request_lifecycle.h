@@ -278,6 +278,11 @@ class RequestLifecycle {
   obs::Counter* cancels_counter_ = nullptr;
   obs::Counter* qos_violations_counter_ = nullptr;
   obs::Histogram* response_time_histogram_ = nullptr;
+  /// wire.rejected.<reason>, one per admissible() rejection.
+  obs::Counter* rejected_negative_service_ = nullptr;
+  obs::Counter* rejected_negative_queuing_ = nullptr;
+  obs::Counter* rejected_negative_queue_length_ = nullptr;
+  obs::Counter* rejected_perf_overflow_ = nullptr;
 };
 
 }  // namespace aqua::core

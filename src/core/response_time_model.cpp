@@ -21,13 +21,6 @@ namespace {
 /// representable deadline.
 stats::EmpiricalPmf never() { return stats::EmpiricalPmf::delta(Duration::max()); }
 
-/// True if shifting `pmf` by `offset` would leave Duration's range.
-bool shift_overflows(const stats::EmpiricalPmf& pmf, Duration offset) {
-  std::int64_t sum = 0;
-  return !pmf.empty() &&
-         __builtin_add_overflow(pmf.atoms().back().value.count(), offset.count(), &sum);
-}
-
 }  // namespace
 
 stats::EmpiricalPmf ResponseTimeModel::compute_pmf(const ReplicaObservation& obs) const {
@@ -50,20 +43,30 @@ stats::EmpiricalPmf ResponseTimeModel::compute_pmf(const ReplicaObservation& obs
     service = service.binned(config_.bin_width);
     queuing = queuing.binned(config_.bin_width);
   }
-  stats::EmpiricalPmf response = convolve(service, queuing);
-
-  if (config_.windowed_gateway_delay && !obs.gateway_samples.empty()) {
-    stats::EmpiricalPmf gateway = stats::EmpiricalPmf::from_samples(obs.gateway_samples);
+  const bool windowed = config_.windowed_gateway_delay && !obs.gateway_samples.empty();
+  stats::EmpiricalPmf gateway;
+  if (windowed) {
+    gateway = stats::EmpiricalPmf::from_samples(obs.gateway_samples);
     if (config_.bin_width > Duration::zero()) gateway = gateway.binned(config_.bin_width);
-    stats::EmpiricalPmf with_gateway = convolve(response, gateway);
-    if (shift_overflows(with_gateway, extra_shift)) return never();
-    return with_gateway.shifted(extra_shift);
   }
-  std::int64_t shift_us = 0;
-  if (__builtin_add_overflow(obs.gateway_delay.count(), extra_shift.count(), &shift_us) ||
-      shift_overflows(response, Duration{shift_us})) {
+
+  // One range check for the whole pipeline: the largest support value is
+  // max(S) + max(W) (+ max(G) when windowed) plus the shift T. A t_s or
+  // t_q near Duration's limit saturates to F = 0 instead of overflowing.
+  std::int64_t shift_us = extra_shift.count();
+  if (!windowed && __builtin_add_overflow(shift_us, obs.gateway_delay.count(), &shift_us)) {
     return never();
   }
+  if (!service.empty() && !queuing.empty()) {
+    std::int64_t top_us = 0;
+    if (__builtin_add_overflow(service.max().count(), queuing.max().count(), &top_us) ||
+        (windowed && __builtin_add_overflow(top_us, gateway.max().count(), &top_us)) ||
+        __builtin_add_overflow(top_us, shift_us, &top_us)) {
+      return never();
+    }
+  }
+  stats::EmpiricalPmf response = convolve(service, queuing);
+  if (windowed) response = convolve(response, gateway);
   return response.shifted(Duration{shift_us});
 }
 

@@ -35,7 +35,8 @@ namespace aqua::fault {
 /// before adding replicas/clients (NetDelayModel::modulation, and each
 /// replica's sampler through stats::make_modulated_sampler).
 struct ThreadedScenarioHooks {
-  /// Shared by every client's NetDelayModel; spike windows scale it,
+  /// Wired in as ThreadedSystemConfig::client.net.modulation, which the
+  /// in-process transport's delay model carries; spike windows scale it,
   /// delay windows add to it.
   stats::LoadModulationPtr net;
   /// Entry i belongs to the replica added i-th.

@@ -35,6 +35,24 @@ std::string not_found() {
   return http_response(404, "Not Found", "text/plain; charset=utf-8", "not found\n");
 }
 
+/// Lingering close. Closing a socket with request bytes still unread
+/// (headers, the blank line after the request line) makes the kernel
+/// reset the connection, and the client loses the part of the response
+/// it has not read yet. So: send FIN, then read and discard until the
+/// client closes, for at most kLingerMs (the server is single-threaded).
+void linger_close(int fd) {
+  constexpr int kLingerMs = 250;
+  ::shutdown(fd, SHUT_WR);
+  char sink[512];
+  for (int waited = 0; waited < kLingerMs; waited += 10) {
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/10);
+    if (ready < 0) break;
+    if (ready > 0 && ::read(fd, sink, sizeof sink) <= 0) break;  // EOF or error
+  }
+  ::close(fd);
+}
+
 }  // namespace
 
 ScrapeServer::ScrapeServer(const Telemetry& telemetry, std::uint16_t port)
@@ -127,7 +145,7 @@ void ScrapeServer::serve() {
         sent += static_cast<std::size_t>(w);
       }
     }
-    ::close(client);
+    linger_close(client);
   }
 }
 

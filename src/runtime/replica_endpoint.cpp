@@ -20,6 +20,8 @@ ReplicaEndpoint::ReplicaEndpoint(net::Transport& transport, ThreadedReplica& rep
     queue_length_gauge_ = &metrics.gauge("replica_endpoint.queue_length");
     if (telemetry->spans_enabled()) span_sink_ = telemetry;
   }
+  route_ = std::make_shared<ReplyRoute>();
+  route_->endpoint = this;
   endpoint_ = factory(
       [this](EndpointId from, const net::Payload& message) { on_receive(from, message); });
 }
@@ -33,7 +35,11 @@ ReplicaEndpoint::ReplicaEndpoint(net::Transport& transport, ThreadedReplica& rep
           },
           telemetry) {}
 
-ReplicaEndpoint::~ReplicaEndpoint() { shutdown(); }
+ReplicaEndpoint::~ReplicaEndpoint() {
+  shutdown();
+  std::lock_guard lock(route_->mutex);  // waits out a reply being sent
+  route_->endpoint = nullptr;
+}
 
 void ReplicaEndpoint::shutdown() {
   if (!shut_down_.exchange(true)) transport_.destroy_endpoint(endpoint_);
@@ -47,33 +53,14 @@ void ReplicaEndpoint::on_receive(EndpointId from, const net::Payload& message) {
       if (request->code_k > 0) coded_chunks_counter_->add();
     }
     const obs::SpanContext request_ctx = message.span();
-    // The reply callback runs on the replica's worker thread; both
-    // transports accept sends from any thread.
+    // The reply callback runs on the replica's worker thread (threaded
+    // transports accept sends from any thread), and goes through route_
+    // because the job can outlive this endpoint.
     const bool accepted = replica_.submit(
         *request,
-        [this, from, request_ctx](const proto::Reply& reply) {
-          net::Payload payload = net::Payload::make(reply, proto::kReplyBytes);
-          if (request_ctx.valid()) {
-            payload.set_span({.trace_id = request_ctx.trace_id,
-                              .parent_span_id = request_ctx.parent_span_id,
-                              .leg = obs::SpanKind::kReplyLeg,
-                              .replica = reply.replica});
-            if (span_sink_ != nullptr) {
-              // Zero-duration hand-off marker (see span_sink_ comment).
-              const TimePoint at = span_sink_->wall_now();
-              span_sink_->record_span({.trace_id = request_ctx.trace_id,
-                                       .span_id = span_sink_->next_span_id(),
-                                       .parent_span_id = request_ctx.parent_span_id,
-                                       .kind = obs::SpanKind::kReplyLeg,
-                                       .client = obs::trace_client(request_ctx.trace_id),
-                                       .request = reply.request,
-                                       .replica = reply.replica,
-                                       .start = at,
-                                       .end = at});
-            }
-          }
-          if (replies_counter_ != nullptr) replies_counter_->add();
-          transport_.unicast(endpoint_, from, std::move(payload));
+        [route = route_, from, request_ctx](const proto::Reply& reply) {
+          std::lock_guard lock(route->mutex);
+          if (route->endpoint != nullptr) route->endpoint->send_reply(from, request_ctx, reply);
         },
         request_ctx);
     if (requests_counter_ != nullptr) {
@@ -98,6 +85,32 @@ void ReplicaEndpoint::on_receive(EndpointId from, const net::Payload& message) {
                        net::Payload::make(proto::Announce{replica_.id(), endpoint_},
                                           proto::kAnnounceBytes));
   }
+}
+
+void ReplicaEndpoint::send_reply(EndpointId to, obs::SpanContext request_ctx,
+                                 const proto::Reply& reply) {
+  net::Payload payload = net::Payload::make(reply, proto::kReplyBytes);
+  if (request_ctx.valid()) {
+    payload.set_span({.trace_id = request_ctx.trace_id,
+                      .parent_span_id = request_ctx.parent_span_id,
+                      .leg = obs::SpanKind::kReplyLeg,
+                      .replica = reply.replica});
+    if (span_sink_ != nullptr) {
+      // Zero-duration hand-off marker (see span_sink_ comment).
+      const TimePoint at = span_sink_->wall_now();
+      span_sink_->record_span({.trace_id = request_ctx.trace_id,
+                               .span_id = span_sink_->next_span_id(),
+                               .parent_span_id = request_ctx.parent_span_id,
+                               .kind = obs::SpanKind::kReplyLeg,
+                               .client = obs::trace_client(request_ctx.trace_id),
+                               .request = reply.request,
+                               .replica = reply.replica,
+                               .start = at,
+                               .end = at});
+    }
+  }
+  if (replies_counter_ != nullptr) replies_counter_->add();
+  transport_.unicast(endpoint_, to, std::move(payload));
 }
 
 }  // namespace aqua::runtime

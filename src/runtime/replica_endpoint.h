@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <mutex>
 
 #include "net/transport.h"
 #include "runtime/threaded_replica.h"
@@ -43,27 +45,41 @@ class ReplicaEndpoint {
   ReplicaEndpoint(net::Transport& transport, ThreadedReplica& replica, HostId host,
                   obs::Telemetry* telemetry = nullptr);
 
+  /// Also severs the reply path of every job still queued at the
+  /// replica: those replies are dropped, so the replica may outlive the
+  /// endpoint.
   ~ReplicaEndpoint();
 
   ReplicaEndpoint(const ReplicaEndpoint&) = delete;
   ReplicaEndpoint& operator=(const ReplicaEndpoint&) = delete;
 
-  /// Stop intake: destroy the transport endpoint, joining its delivery
-  /// threads — no on_receive (hence no replica submit) after this. A
-  /// reply still in flight on the replica's worker degrades to a counted
-  /// transport drop. Idempotent; the destructor calls it.
+  /// Stop intake: destroy the transport endpoint, which waits out the
+  /// deliveries in progress — no on_receive (hence no replica submit)
+  /// after this. A reply still in flight on the replica's worker
+  /// degrades to a counted transport drop. Idempotent; the destructor
+  /// calls it.
   void shutdown();
 
   [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
   [[nodiscard]] ThreadedReplica& replica() { return replica_; }
 
  private:
+  /// The reply path of submitted jobs. A job can outlive this endpoint
+  /// (the replica is owned elsewhere), so its reply callback reaches the
+  /// endpoint through this block, which the destructor severs.
+  struct ReplyRoute {
+    std::mutex mutex;
+    ReplicaEndpoint* endpoint = nullptr;
+  };
+
   void on_receive(EndpointId from, const net::Payload& message);
+  void send_reply(EndpointId to, obs::SpanContext request_ctx, const proto::Reply& reply);
 
   net::Transport& transport_;
   ThreadedReplica& replica_;
   EndpointId endpoint_{};
   std::atomic<bool> shut_down_{false};
+  std::shared_ptr<ReplyRoute> route_;
 
   /// Null unless telemetry is attached (one-branch discipline).
   obs::Counter* requests_counter_ = nullptr;

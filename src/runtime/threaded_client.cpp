@@ -9,12 +9,6 @@
 
 namespace aqua::runtime {
 
-Duration NetDelayModel::sample(Rng& rng) const {
-  Duration delay = base;
-  if (jitter_max > Duration::zero()) delay += Duration{rng.uniform_int(0, count_us(jitter_max))};
-  return modulation ? modulation->apply(delay) : delay;
-}
-
 namespace {
 
 /// Steady-clock instants on the TimePoint axis, so the repository's
@@ -25,8 +19,8 @@ TimePoint mono_now() {
 }
 
 /// The threaded runtime always guards against stale samples: UDP (and
-/// the executor's delay-injected in-process hops) can reorder replies,
-/// and unlike the sim there is no bit-identity contract to preserve.
+/// jittered in-process delivery) can reorder replies, and unlike the sim
+/// there is no bit-identity contract to preserve.
 core::RepositoryConfig with_stale_guard(core::RepositoryConfig config) {
   config.reject_stale_samples = true;
   return config;
@@ -40,8 +34,7 @@ constexpr int kCollectAfterDeadlines = 10;
 
 ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::QosSpec qos, Rng rng,
                                ThreadedClientConfig config)
-    : replicas_(std::move(replicas)),
-      qos_(qos),
+    : qos_(qos),
       rng_(std::move(rng)),
       config_(config),
       model_cache_(std::make_shared<core::ModelCache>()),
@@ -53,8 +46,8 @@ ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::Qos
       transport_(config.transport),
       obs_(config.telemetry) {
   qos_.validate();
-  AQUA_REQUIRE(!replicas_.empty() || transport_ != nullptr,
-               "threaded client needs at least one replica (or a transport to discover them)");
+  AQUA_REQUIRE(replicas.empty() != (transport_ == nullptr),
+               "threaded client needs either replicas or a transport to discover them on");
   AQUA_REQUIRE(config_.give_up_deadline_factor >= 1, "give-up factor must be >= 1");
   if (obs_ != nullptr) {
     auto& metrics = obs_->metrics();
@@ -63,59 +56,57 @@ ThreadedClient::ThreadedClient(std::vector<ThreadedReplica*> replicas, core::Qos
     cold_starts_counter_ = &metrics.counter("threaded.cold_starts");
     selection_overhead_histogram_ = &metrics.histogram("threaded.selection_overhead_us");
   }
-  {
-    std::lock_guard lock(mutex_);
-    for (const ThreadedReplica* replica : replicas_) {
-      lifecycle_.repository().add_replica(replica->id());
-    }
+  if (transport_ == nullptr) {
+    own_transport_ = std::make_unique<InProcessTransport>(config_.net, rng_.fork("net"));
+    own_transport_->set_telemetry(obs_);
+    transport_ = own_transport_.get();
   }
-  if (transport_ != nullptr) {
-    endpoint_ = transport_->create_endpoint(
-        config_.host,
-        [this](EndpointId from, const net::Payload& message) { on_receive(from, message); });
-    // The transport's subscriber list cannot shrink, so the callback
-    // reaches this client through a relay the destructor severs.
-    evict_relay_ = std::make_shared<HostEvictRelay>();
-    evict_relay_->client = this;
-    transport_->subscribe_host_state(
-        [relay = evict_relay_](HostId host, bool alive) {
-          if (alive) return;
-          std::lock_guard guard(relay->mutex);
-          if (relay->client != nullptr) relay->client->evict_host(host);
-        });
+  endpoint_ = transport_->create_endpoint(
+      config_.host,
+      [this](EndpointId from, const net::Payload& message) { on_receive(from, message); });
+  // The transport's subscriber list cannot shrink, so the callback
+  // reaches this client through a relay the destructor severs.
+  evict_relay_ = std::make_shared<HostEvictRelay>();
+  evict_relay_->client = this;
+  transport_->subscribe_host_state([relay = evict_relay_](HostId host, bool alive) {
+    if (alive) return;
+    std::lock_guard guard(relay->mutex);
+    if (relay->client != nullptr) relay->client->evict_host(host);
+  });
+  for (ThreadedReplica* replica : replicas) {
+    // One host per replica, as ThreadedSystem places them.
+    own_endpoints_.push_back(std::make_unique<ReplicaEndpoint>(
+        *own_transport_, *replica, HostId{replica->id().value()}));
+    add_peer_replica(replica->id(), own_endpoints_.back()->endpoint());
   }
 }
 
 ThreadedClient::~ThreadedClient() { shutdown(); }
 
 void ThreadedClient::shutdown() {
-  if (transport_ != nullptr) {
-    if (evict_relay_ != nullptr) {
-      std::lock_guard guard(evict_relay_->mutex);
-      evict_relay_->client = nullptr;
-    }
-    // Joins the endpoint's delivery threads (so must not hold mutex_).
-    if (!endpoint_destroyed_.exchange(true)) transport_->destroy_endpoint(endpoint_);
+  {
+    std::lock_guard guard(evict_relay_->mutex);
+    evict_relay_->client = nullptr;
   }
-  executor_.shutdown();
+  // Waits out deliveries into the client (so must not hold mutex_).
+  if (!endpoint_destroyed_.exchange(true)) transport_->destroy_endpoint(endpoint_);
+  for (auto& endpoint : own_endpoints_) endpoint->shutdown();
 }
 
 TimePoint ThreadedClient::now() const { return obs_ != nullptr ? obs_->wall_now() : mono_now(); }
 
 void ThreadedClient::flush(std::vector<Send>& sends) {
-  for (Send& send : sends) send();
+  for (Send& send : sends) transport_->multicast(endpoint_, send.to, std::move(send.payload));
   sends.clear();
 }
 
 void ThreadedClient::add_peer_replica(ReplicaId replica, EndpointId endpoint) {
-  AQUA_REQUIRE(transport_ != nullptr, "add_peer_replica requires transport mode");
   std::lock_guard lock(mutex_);
   peer_replicas_[replica] = endpoint;
   if (!lifecycle_.repository().contains(replica)) lifecycle_.repository().add_replica(replica);
 }
 
 void ThreadedClient::subscribe_to(EndpointId peer) {
-  AQUA_REQUIRE(transport_ != nullptr, "subscribe_to requires transport mode");
   transport_->unicast(endpoint_, peer,
                       net::Payload::make(proto::Subscribe{config_.id, endpoint_},
                                          proto::kSubscribeBytes));
@@ -174,7 +165,6 @@ void ThreadedClient::remove_replica(ReplicaId id) {
   std::vector<Send> sends;
   {
     std::lock_guard lock(mutex_);
-    std::erase_if(replicas_, [id](const ThreadedReplica* r) { return r->id() == id; });
     evict(std::span<const ReplicaId>(&id, 1), sends);
   }
   flush(sends);
@@ -219,66 +209,31 @@ void ThreadedClient::stage(const core::Transmission& tx, std::vector<Send>& send
     if (tx.span.valid()) payload.set_span(tx.span);
     return payload;
   };
-  std::vector<EndpointId> peers;  // an uncoded wave on the wire: one multicast
+  if (tx.chunks.empty()) {  // an uncoded wave: one multicast
+    stage(tx.targets, payload_of(tx.request), sends);
+    return;
+  }
   for (std::size_t i = 0; i < tx.targets.size(); ++i) {
     proto::Request copy = tx.request;
-    if (!tx.chunks.empty()) copy.chunk = tx.chunks[i];
-    if (transport_ == nullptr) {
-      // In-process: a delay-injected hop out, one back, then the same
-      // intake as a datagram.
-      hop(tx.targets[i], [this, copy, span = tx.span](ThreadedReplica& replica) {
-        replica.submit(copy, [this](const proto::Reply& reply) {
-          Duration back_delay;
-          {
-            std::lock_guard lock(mutex_);
-            back_delay = config_.net.sample(rng_);
-          }
-          executor_.post_after(back_delay, [this, reply] { intake(reply); });
-        }, span);
-      }, sends);
-    } else if (auto it = peer_replicas_.find(tx.targets[i]); it != peer_replicas_.end()) {
-      if (tx.chunks.empty()) {
-        peers.push_back(it->second);
-        continue;
-      }
-      sends.push_back([this, peer = it->second, payload = payload_of(copy)]() mutable {
-        transport_->unicast(endpoint_, peer, std::move(payload));
-      });
-    }
+    copy.chunk = tx.chunks[i];
+    stage(std::span<const ReplicaId>(&tx.targets[i], 1), payload_of(copy), sends);
   }
-  if (peers.empty()) return;
-  sends.push_back([this, peers = std::move(peers), payload = payload_of(tx.request)]() mutable {
-    transport_->multicast(endpoint_, peers, std::move(payload));
-  });
 }
 
 void ThreadedClient::stage(const core::Cancellation& cancellation, std::vector<Send>& sends) {
-  std::vector<EndpointId> peers;
-  for (ReplicaId replica : cancellation.targets) {
-    if (transport_ == nullptr) {
-      hop(replica, [cancel = cancellation.cancel](ThreadedReplica& target) {
-        target.cancel(cancel.request, cancel.client);
-      }, sends);
-    } else if (auto it = peer_replicas_.find(replica); it != peer_replicas_.end()) {
-      peers.push_back(it->second);
-    }
-  }
-  if (peers.empty()) return;
-  net::Payload payload = net::Payload::make(cancellation.cancel, proto::kCancelBytes);
-  sends.push_back([this, peers = std::move(peers), payload = std::move(payload)]() mutable {
-    transport_->multicast(endpoint_, peers, std::move(payload));
-  });
+  stage(cancellation.targets, net::Payload::make(cancellation.cancel, proto::kCancelBytes),
+        sends);
 }
 
-void ThreadedClient::hop(ReplicaId id, std::function<void(ThreadedReplica&)> deliver,
-                         std::vector<Send>& sends) {
-  auto it = std::find_if(replicas_.begin(), replicas_.end(),
-                         [id](const ThreadedReplica* r) { return r->id() == id; });
-  if (it == replicas_.end()) return;
-  const Duration delay = config_.net.sample(rng_);
-  sends.push_back([this, replica = *it, delay, deliver = std::move(deliver)] {
-    executor_.post_after(delay, [replica, deliver] { deliver(*replica); });
-  });
+void ThreadedClient::stage(std::span<const ReplicaId> targets, net::Payload payload,
+                           std::vector<Send>& sends) {
+  Send send{{}, std::move(payload)};
+  for (ReplicaId replica : targets) {
+    if (auto it = peer_replicas_.find(replica); it != peer_replicas_.end()) {
+      send.to.push_back(it->second);
+    }
+  }
+  if (!send.to.empty()) sends.push_back(std::move(send));
 }
 
 void ThreadedClient::collect_garbage(TimePoint now) {

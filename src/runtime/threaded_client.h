@@ -7,16 +7,17 @@
 // every reply — and blocks until the completing reply or a give-up
 // timeout. This class adds only what a wall-clock runtime needs: one lock,
 // a condition variable for the deadline / hedge / give-up waits, and the
-// sends (transport datagrams or delay-injected in-process hops).
+// sends. There is one send path, a net::Transport: UdpTransport for real
+// sockets, InProcessTransport for replicas in this process.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,9 +25,9 @@
 #include "common/rng.h"
 #include "core/request_lifecycle.h"
 #include "net/transport.h"
-#include "runtime/delayed_executor.h"
+#include "runtime/in_process_transport.h"
+#include "runtime/replica_endpoint.h"
 #include "runtime/threaded_replica.h"
-#include "stats/variates.h"
 
 namespace aqua::obs {
 class Counter;
@@ -36,24 +37,13 @@ class Telemetry;
 
 namespace aqua::runtime {
 
-/// Symmetric one-way "network" delay injected on each hop.
-struct NetDelayModel {
-  Duration base = usec(200);
-  Duration jitter_max = usec(100);
-
-  /// Fault-injection hook: when set, every sampled delay is scaled/offset
-  /// through this shared control block — the threaded analogue of a LAN
-  /// spike window, retuned by the scenario engine mid-run.
-  std::shared_ptr<const stats::LoadModulation> modulation;
-
-  [[nodiscard]] Duration sample(Rng& rng) const;
-};
-
 struct ThreadedClientConfig {
   core::RepositoryConfig repository;
   core::SelectionConfig selection;
   core::ModelConfig model;
   core::FailureTrackerConfig failure_tracker;
+  /// One-way delay of the private InProcessTransport the replica-pointer
+  /// constructor builds (ThreadedSystem builds its shared one from it).
   NetDelayModel net;
   /// invoke() returns unanswered after deadline * this factor.
   int give_up_deadline_factor = 4;
@@ -76,13 +66,12 @@ struct ThreadedClientConfig {
   /// branch.
   obs::Telemetry* telemetry = nullptr;
 
-  /// Transport mode: when set (non-owning; must outlive the client), the
-  /// client creates its own endpoint on `host` and invoke() multicasts
-  /// requests over the transport instead of submitting to in-process
-  /// replica threads — replicas are discovered via add_peer_replica() or
-  /// the Subscribe/Announce handshake, and a host reported dead by the
-  /// transport is evicted like a membership view change. The in-process
-  /// replica list may then be empty.
+  /// The transport requests travel over (non-owning; must outlive the
+  /// client). The client creates its own endpoint on `host`; replicas are
+  /// discovered via add_peer_replica() or the Subscribe/Announce
+  /// handshake, and a host reported dead by the transport is evicted like
+  /// a membership view change. Null only with a replica list, which the
+  /// client then serves through a private InProcessTransport.
   net::Transport* transport = nullptr;
   HostId host{};
 };
@@ -111,8 +100,10 @@ class ThreadedClient {
     std::size_t chunks_received = 0;
   };
 
-  /// The replica pointers must outlive the client. The list may be empty
-  /// only in transport mode (config.transport set).
+  /// Exactly one of `replicas` and config.transport is given. Listed
+  /// replicas (which must outlive the client) are put behind
+  /// ReplicaEndpoints on a private InProcessTransport with config.net
+  /// delays, so both cases share the one send path.
   ThreadedClient(std::vector<ThreadedReplica*> replicas, core::QosSpec qos, Rng rng,
                  ThreadedClientConfig config = {});
   ~ThreadedClient();
@@ -129,25 +120,25 @@ class ThreadedClient {
   /// the membership view change).
   void remove_replica(ReplicaId id);
 
-  /// Transport mode: the client's own endpoint on the transport.
+  /// The client's own endpoint on the transport.
   [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
 
-  /// Transport mode: make `replica`, reachable at `endpoint`, a selection
-  /// candidate. Idempotent per replica (later calls update the endpoint).
+  /// Make `replica`, reachable at `endpoint`, a selection candidate.
+  /// Idempotent per replica (later calls update the endpoint).
   void add_peer_replica(ReplicaId replica, EndpointId endpoint);
 
-  /// Transport mode: send a Subscribe to a peer endpoint; its Announce
-  /// reply runs add_peer_replica with the replica behind that address.
+  /// Send a Subscribe to a peer endpoint; its Announce reply runs
+  /// add_peer_replica with the replica behind that address.
   void subscribe_to(EndpointId peer);
 
   void set_qos(core::QosSpec qos);
   [[nodiscard]] const core::QosSpec& qos() const { return qos_; }
 
-  /// Stop message intake: destroy the transport endpoint (joining its
-  /// delivery threads) and shut the delay executor down — after this no
-  /// in-flight hop or datagram can touch a replica or this client. Part
-  /// of ThreadedSystem's phased teardown, called before replica threads
-  /// are joined. Idempotent.
+  /// Stop message intake: destroy the transport endpoint (waiting out
+  /// deliveries in progress) and, with a private transport, the replica
+  /// endpoints on it — after this no message can touch a replica or this
+  /// client. Part of ThreadedSystem's phased teardown, called before
+  /// replica threads are joined. Idempotent.
   void shutdown();
 
   /// Snapshot accessors (thread-safe).
@@ -166,8 +157,11 @@ class ThreadedClient {
   }
 
  private:
-  /// One staged send, run after mutex_ is released.
-  using Send = std::function<void()>;
+  /// One staged message, sent after mutex_ is released.
+  struct Send {
+    std::vector<EndpointId> to;
+    net::Payload payload;
+  };
   /// Host-eviction relay shared with the transport's subscriber list:
   /// the transport cannot unsubscribe, so the callback goes through this
   /// block and the destructor severs `client` under its mutex.
@@ -177,7 +171,6 @@ class ThreadedClient {
   };
 
   void on_receive(EndpointId from, const net::Payload& message);
-  /// The one reply intake of both send paths.
   void intake(const proto::Reply& reply);
   void evict_host(HostId host);
   /// The clock every lifecycle time is read from: the telemetry hub's
@@ -192,13 +185,13 @@ class ThreadedClient {
   void evict(std::span<const ReplicaId> dead, std::vector<Send>& sends);
   void stage(const core::Transmission& tx, std::vector<Send>& sends);
   void stage(const core::Cancellation& cancellation, std::vector<Send>& sends);
-  /// In-process send: `deliver` runs on the replica after one net delay.
-  void hop(ReplicaId id, std::function<void(ThreadedReplica&)> deliver, std::vector<Send>& sends);
+  /// Stage `payload` to the endpoints of `targets` still known.
+  void stage(std::span<const ReplicaId> targets, net::Payload payload, std::vector<Send>& sends);
   void collect_garbage(TimePoint now);
 
-  static void flush(std::vector<Send>& sends);
+  /// Send the staged messages; runs without mutex_.
+  void flush(std::vector<Send>& sends);
 
-  std::vector<ThreadedReplica*> replicas_;
   core::QosSpec qos_;
   Rng rng_;
   ThreadedClientConfig config_;
@@ -219,8 +212,8 @@ class ThreadedClient {
   /// Returned requests with replies outstanding, by collection time.
   std::deque<std::pair<TimePoint, RequestId>> garbage_;
 
-  /// Transport mode (null otherwise). The endpoint is created in the
-  /// constructor and destroyed by shutdown().
+  /// The endpoint is created in the constructor and destroyed by
+  /// shutdown().
   net::Transport* transport_ = nullptr;
   EndpointId endpoint_{};
   std::atomic<bool> endpoint_destroyed_{false};
@@ -235,10 +228,11 @@ class ThreadedClient {
   obs::Counter* cold_starts_counter_ = nullptr;
   obs::Histogram* selection_overhead_histogram_ = nullptr;
 
-  /// Declared last so it is destroyed FIRST: the executor's worker runs
-  /// reply hops that lock mutex_ and write repository_, and its shutdown
-  /// joins any in-flight task before the state above is torn down.
-  DelayedExecutor executor_;
+  /// The replica-pointer constructor's private transport and the
+  /// endpoints in front of the listed replicas (empty otherwise).
+  /// Declared last so they go first; shutdown() has already stopped them.
+  std::unique_ptr<InProcessTransport> own_transport_;
+  std::vector<std::unique_ptr<ReplicaEndpoint>> own_endpoints_;
 };
 
 }  // namespace aqua::runtime

@@ -11,6 +11,13 @@ namespace aqua::runtime {
 ThreadedSystem::ThreadedSystem(ThreadedSystemConfig config)
     : config_(config), rng_(config.seed) {
   if (config_.client.telemetry == nullptr) config_.client.telemetry = config_.telemetry;
+  transport_ = config_.transport;
+  if (transport_ == nullptr) {
+    in_process_ = std::make_unique<InProcessTransport>(config_.client.net, rng_.fork("net"));
+    in_process_->set_telemetry(config_.telemetry != nullptr ? config_.telemetry
+                                                            : config_.client.telemetry);
+    transport_ = in_process_.get();
+  }
   if (config_.scrape_port >= 0 && config_.client.telemetry != nullptr) {
     scrape_ = std::make_unique<obs::ScrapeServer>(
         *config_.client.telemetry, static_cast<std::uint16_t>(config_.scrape_port));
@@ -19,11 +26,11 @@ ThreadedSystem::ThreadedSystem(ThreadedSystemConfig config)
 
 ThreadedSystem::~ThreadedSystem() {
   // Phased teardown. The scrape server goes first so no HTTP snapshot
-  // races teardown. Then client executors and endpoints: once shut down,
-  // no delayed hop or datagram can submit to a replica or record a
-  // reply. Then replica endpoints (no datagram can reach a worker), then
-  // replica workers (an in-flight reply degrades to a counted transport
-  // drop and still finds the clients alive), then the clients.
+  // races teardown. Then client endpoints: once shut down, no message
+  // can record a reply. Then replica endpoints (no message can reach a
+  // worker), then replica workers (an in-flight reply degrades to a
+  // counted transport drop and still finds the clients alive), then the
+  // clients. An in-process transport goes last.
   scrape_.reset();
   for (auto& client : clients_) client->shutdown();
   for (auto& endpoint : replica_endpoints_) endpoint->shutdown();
@@ -37,35 +44,25 @@ ThreadedReplica& ThreadedSystem::add_replica(stats::SamplerPtr service_time) {
   replicas_.push_back(std::make_unique<ThreadedReplica>(id, std::move(service_time),
                                                         rng_.fork("replica").fork(id.value()),
                                                         config_.telemetry));
-  if (config_.transport != nullptr) {
-    // One host per replica, so transport liveness maps 1:1 to replicas.
-    replica_endpoints_.push_back(std::make_unique<ReplicaEndpoint>(
-        *config_.transport, *replicas_.back(), HostId{id.value()}));
-  }
+  // One host per replica, so transport liveness maps 1:1 to replicas.
+  replica_endpoints_.push_back(
+      std::make_unique<ReplicaEndpoint>(*transport_, *replicas_.back(), HostId{id.value()}));
   return *replicas_.back();
 }
 
 ThreadedClient& ThreadedSystem::add_client(core::QosSpec qos) {
   AQUA_REQUIRE(!replicas_.empty(), "add replicas before clients");
-  std::vector<ThreadedReplica*> replica_ptrs;
   ThreadedClientConfig client_config = config_.client;
   client_config.id = client_ids_.next();  // distinct trace-id namespaces
-  if (config_.transport != nullptr) {
-    client_config.transport = config_.transport;
-    client_config.host = HostId{1'000 + client_config.id.value()};  // clear of replica hosts
-  } else {
-    replica_ptrs.reserve(replicas_.size());
-    for (auto& replica : replicas_) replica_ptrs.push_back(replica.get());
-  }
+  client_config.transport = transport_;
+  client_config.host = HostId{1'000 + client_config.id.value()};  // clear of replica hosts
   clients_.push_back(std::make_unique<ThreadedClient>(
-      std::move(replica_ptrs), qos, rng_.fork("client").fork(clients_.size() + 1),
+      std::vector<ThreadedReplica*>{}, qos, rng_.fork("client").fork(clients_.size() + 1),
       client_config));
-  if (config_.transport != nullptr) {
-    // In-process assembly: wire the directory directly — deterministic,
-    // no Subscribe/Announce round trip to wait for.
-    for (auto& endpoint : replica_endpoints_) {
-      clients_.back()->add_peer_replica(endpoint->replica().id(), endpoint->endpoint());
-    }
+  // In-process assembly: wire the directory directly — deterministic, no
+  // Subscribe/Announce round trip to wait for.
+  for (auto& endpoint : replica_endpoints_) {
+    clients_.back()->add_peer_replica(endpoint->replica().id(), endpoint->endpoint());
   }
   return *clients_.back();
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "runtime/in_process_transport.h"
 #include "runtime/replica_endpoint.h"
 #include "runtime/threaded_client.h"
 #include "runtime/threaded_replica.h"
@@ -32,13 +33,12 @@ struct ThreadedSystemConfig {
   /// (0 picks an ephemeral port; see ScrapeServer).
   int scrape_port = -1;
 
-  /// When set (non-owning; must outlive the system), every replica gets a
-  /// transport endpoint (ReplicaEndpoint) and every client multicasts
-  /// requests over the transport instead of submitting to replica
-  /// threads directly. Null keeps the direct in-process path,
-  /// bit-identical to the pre-transport runtime. The transport must be
-  /// safe for sends from arbitrary threads (UdpTransport is; the
-  /// simulated Lan is not — it belongs to the simulator's single thread).
+  /// The transport every replica endpoint (ReplicaEndpoint) and client
+  /// speaks over (non-owning; must outlive the system). It must be safe
+  /// for sends from arbitrary threads (UdpTransport is; the simulated Lan
+  /// is not — it belongs to the simulator's single thread). Null builds
+  /// an InProcessTransport from client.net, owned by the system, with
+  /// lan.* counters mirrored into the telemetry hub.
   net::Transport* transport = nullptr;
 };
 
@@ -74,7 +74,7 @@ class ThreadedSystem {
   [[nodiscard]] std::vector<ThreadedReplica*> replicas();
   [[nodiscard]] std::vector<ThreadedClient*> clients();
 
-  /// Transport mode: the endpoint wrappers, index-aligned with replicas().
+  /// The endpoint wrappers, index-aligned with replicas().
   [[nodiscard]] std::vector<ReplicaEndpoint*> replica_endpoints();
 
   /// Run every client's closed-loop workload concurrently (one driver
@@ -88,6 +88,10 @@ class ThreadedSystem {
  private:
   ThreadedSystemConfig config_;
   Rng rng_;
+  /// Built when config.transport is null; declared before everything
+  /// that holds an endpoint on it, so it is destroyed last.
+  std::unique_ptr<InProcessTransport> in_process_;
+  net::Transport* transport_ = nullptr;
   IdGenerator<ReplicaId> replica_ids_;
   IdGenerator<ClientId> client_ids_;
   std::vector<std::unique_ptr<ThreadedReplica>> replicas_;

@@ -172,6 +172,49 @@ TEST(ResponseTimeModelTest, BacklogThatOverflowsTheShiftSaturatesToNever) {
   EXPECT_DOUBLE_EQ(ResponseTimeModel{cfg}.probability_by(obs, sec(1'000'000'000)), 0.0);
 }
 
+TEST(ResponseTimeModelTest, ServicePlusQueuingPastDurationRangeSaturatesToNever) {
+  // max(S) + max(W) itself leaves Duration's range: t_s and t_q each just
+  // above 2^62 (hostile perf data). The convolution would overflow
+  // (run under ENABLE_UBSAN to see it); the model saturates instead.
+  const Duration huge = usec((std::int64_t{1} << 62) + 1);
+  ReplicaObservation obs = observation({}, {}, 0);
+  obs.service_samples = {msec(1), huge};
+  obs.queuing_samples = {huge};
+  ResponseTimeModel model;
+  EXPECT_DOUBLE_EQ(model.probability_by(obs, sec(1'000'000'000)), 0.0);
+  EXPECT_EQ(model.response_pmf(obs).support_size(), 1u);
+  // Binned, and with the gateway window convolved in: the same answer.
+  ModelConfig cfg;
+  cfg.bin_width = usec(100);
+  cfg.windowed_gateway_delay = true;
+  obs.gateway_samples = {msec(1)};
+  EXPECT_DOUBLE_EQ(ResponseTimeModel{cfg}.probability_by(obs, sec(1'000'000'000)), 0.0);
+}
+
+TEST(ResponseTimeModelTest, GatewayWindowThatOverflowsTheSumSaturatesToNever) {
+  // S + W fits; adding the windowed gateway pmf's top atom does not.
+  ModelConfig cfg;
+  cfg.windowed_gateway_delay = true;
+  ReplicaObservation obs = observation({}, {0}, 0);
+  obs.service_samples = {usec(std::int64_t{1} << 62)};
+  obs.gateway_samples = {usec(std::int64_t{1} << 62)};
+  EXPECT_DOUBLE_EQ(ResponseTimeModel{cfg}.probability_by(obs, sec(1'000'000'000)), 0.0);
+}
+
+TEST(ResponseTimeModelTest, LargestInRangeSupportIsStillExact) {
+  // max(S) + max(W) + T one tick below Duration's limit is in range: the
+  // range check must not saturate it (never() sits AT the limit).
+  const std::int64_t half = std::numeric_limits<std::int64_t>::max() / 2;
+  ReplicaObservation obs = observation({}, {}, 0);
+  obs.service_samples = {usec(half - 1)};
+  obs.queuing_samples = {usec(half)};
+  obs.gateway_delay = usec(1);  // (half - 1) + half + 1 == INT64_MAX - 1
+  const stats::EmpiricalPmf pmf = ResponseTimeModel{}.response_pmf(obs);
+  ASSERT_EQ(pmf.support_size(), 1u);
+  EXPECT_EQ(pmf.max(), Duration::max() - usec(1));
+  EXPECT_DOUBLE_EQ(ResponseTimeModel{}.probability_by(obs, Duration::max() - usec(1)), 1.0);
+}
+
 TEST(ResponseTimeModelTest, ModelConfigValidation) {
   ModelConfig cfg;
   cfg.bin_width = -msec(1);

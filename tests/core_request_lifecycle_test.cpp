@@ -3,6 +3,9 @@
 // rule is checked exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/request_lifecycle.h"
@@ -115,6 +118,57 @@ TEST_F(RequestLifecycleTest, HostilePerfDataIsRejectedBeforeTheRepository) {
   EXPECT_EQ(lifecycle->repository().generation(ReplicaId{2}), generation2);
   // The request is untouched: the honest reply still completes it.
   EXPECT_TRUE(lifecycle->on_reply(reply(RequestId{1}, 1, msec(1)), at_ms(4)).completed);
+}
+
+TEST_F(RequestLifecycleTest, PerfSumPastDurationRangeIsRejected) {
+  // t_s and t_q each above 2^62 pass the sign checks, but their sum —
+  // the t_d formula's subtrahend — overflows.
+  obs::Telemetry telemetry;
+  auto lifecycle = make({}, {}, &telemetry);
+  start(*lifecycle, RequestId{1}, at_ms(1));
+  const auto generation = lifecycle->repository().generation(ReplicaId{1});
+  const Duration huge = usec((std::int64_t{1} << 62) + 1);
+  EXPECT_FALSE(lifecycle->on_reply(reply(RequestId{1}, 1, huge, huge), at_ms(2)).completed);
+  EXPECT_EQ(telemetry.metrics().counter("wire.rejected.perf_overflow").value(), 1u);
+  EXPECT_EQ(lifecycle->repository().generation(ReplicaId{1}), generation);
+  EXPECT_EQ(lifecycle->td_clamped(), 0u);
+  proto::PerfUpdate update;
+  update.replica = ReplicaId{2};
+  update.perf = {huge, huge, 0, 0};
+  lifecycle->on_perf_update(update, at_ms(3));
+  EXPECT_EQ(telemetry.metrics().counter("wire.rejected.perf_overflow").value(), 2u);
+  // Without a hub the same reply is dropped just as quietly.
+  auto bare = make();
+  start(*bare, RequestId{1}, at_ms(1));
+  EXPECT_FALSE(bare->on_reply(reply(RequestId{1}, 1, huge, huge), at_ms(2)).completed);
+  EXPECT_TRUE(lifecycle->on_reply(reply(RequestId{1}, 1, msec(1)), at_ms(4)).completed);
+}
+
+TEST_F(RequestLifecycleTest, InRangePerfNearTheLimitGivesAClampedGatewayDelay) {
+  // t_s + t_q just below INT64_MAX is admissible; t4 - t1 - t_q - t_s is
+  // then hugely negative — clamped to zero and counted, not overflowed.
+  auto lifecycle = make();
+  start(*lifecycle, RequestId{1}, at_ms(10));
+  const Duration half = usec(std::numeric_limits<std::int64_t>::max() / 2);
+  const ReplyIntake intake = lifecycle->on_reply(reply(RequestId{1}, 1, half, half), at_ms(5));
+  EXPECT_TRUE(intake.completed);
+  EXPECT_EQ(lifecycle->td_clamped(), 1u);
+  EXPECT_EQ(lifecycle->repository().observe(ReplicaId{1}).gateway_delay, Duration::zero());
+}
+
+TEST_F(RequestLifecycleTest, RejectionCountersAreRegisteredUpFront) {
+  // Interned at construction: a rejection on a transport thread neither
+  // builds a name nor looks one up.
+  obs::Telemetry telemetry;
+  auto lifecycle = make({}, {}, &telemetry);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : telemetry.metrics().counters()) names.push_back(name);
+  for (const char* reason : {"negative_service_time", "negative_queuing_delay",
+                             "negative_queue_length", "perf_overflow"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), std::string("wire.rejected.") + reason),
+              names.end())
+        << reason;
+  }
 }
 
 TEST_F(RequestLifecycleTest, CancelTargetsAreTheMembersStillAwaited) {

@@ -1,11 +1,12 @@
 // Transport conformance: the behaviour every net::Transport backend must
-// share, run against both the simulated Lan and the real-socket
-// UdpTransport — delivery, multicast fan-out payload integrity, drop
-// accounting for destroyed endpoints, and the host-liveness signal. The
-// backend-specific contracts ride along: FIFO-per-pair ordering (sim
-// only — UDP makes no ordering promise) and SpanContext surviving the
-// UDP wire format (the sim hands payloads across by pointer, so only the
-// socket backend actually marshals it).
+// share, run against the simulated Lan, the real-socket UdpTransport and
+// the threaded runtime's InProcessTransport — delivery, multicast fan-out
+// payload integrity, drop accounting for destroyed endpoints, and the
+// host-liveness signal. The backend-specific contracts ride along:
+// FIFO-per-pair ordering (sim only — UDP makes no ordering promise),
+// SpanContext surviving the UDP wire format (the sim hands payloads
+// across by pointer, so only the socket backend actually marshals it),
+// and the in-process backend's inline delivery and destroy drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +23,13 @@
 #include "net/lan.h"
 #include "net/udp_transport.h"
 #include "obs/span.h"
+#include "obs/telemetry.h"
 #include "proto/messages.h"
+#include "runtime/in_process_transport.h"
+#include "runtime/replica_endpoint.h"
+#include "runtime/threaded_replica.h"
 #include "sim/simulator.h"
+#include "stats/variates.h"
 
 namespace aqua::net {
 namespace {
@@ -134,6 +140,53 @@ void check_destroyed_endpoint_drops(Transport& transport,
   EXPECT_EQ(inbox.size(), 0u);
 }
 
+/// A chunked request/reply exchange where the replica side answers from
+/// inside its own ReceiveFn; `flush(n)` waits for n replies.
+void check_chunked_round_trip(Transport& transport, const std::function<void(std::size_t)>& flush,
+                              std::mutex& mutex, std::vector<proto::Reply>& replies) {
+  const EndpointId client = transport.create_endpoint(HostId{1}, [&](EndpointId, const Payload& m) {
+    if (const auto* reply = m.get_if<proto::Reply>()) {
+      std::lock_guard lock(mutex);
+      replies.push_back(*reply);
+    }
+  });
+  EndpointId replica{};
+  replica = transport.create_endpoint(HostId{2}, [&](EndpointId from, const Payload& m) {
+    const auto* request = m.get_if<proto::Request>();
+    ASSERT_NE(request, nullptr);
+    EXPECT_EQ(request->code_k, 2u);
+    proto::Reply reply;
+    reply.request = request->id;
+    reply.replica = ReplicaId{2};
+    reply.method = request->method;
+    reply.chunk = request->chunk;
+    reply.code_id = request->code_id;
+    transport.unicast(replica, from, Payload::make(reply, proto::kReplyBytes));
+  });
+
+  for (std::uint32_t chunk = 0; chunk < 3; ++chunk) {
+    proto::Request request;
+    request.id = RequestId{500};
+    request.client = ClientId{1};
+    request.method = "invoke";
+    request.chunk = chunk;
+    request.code_k = 2;
+    request.code_id = 77;
+    transport.unicast(client, replica, Payload::make(request, proto::kRequestBytes));
+  }
+  flush(3);
+
+  std::lock_guard lock(mutex);
+  ASSERT_EQ(replies.size(), 3u);
+  std::vector<std::uint32_t> chunks;
+  for (const proto::Reply& reply : replies) {
+    EXPECT_EQ(reply.code_id, 77u);
+    chunks.push_back(reply.chunk);
+  }
+  std::sort(chunks.begin(), chunks.end());
+  EXPECT_EQ(chunks, (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
 // ---------------------------------------------------------------------------
 // Simulated Lan backend
 // ---------------------------------------------------------------------------
@@ -203,44 +256,9 @@ TEST_F(SimConformance, ChunkedRequestReplyRoundTrip) {
   // Coded dispatch sends n distinct chunk-requests and matches replies by
   // (chunk, code_id); a transport must carry both fields intact.
   Lan lan{sim_, Rng{1}, quiet_lan()};
+  std::mutex mutex;
   std::vector<proto::Reply> replies;
-  const EndpointId client = lan.create_endpoint(HostId{1}, [&](EndpointId, const Payload& m) {
-    if (const auto* reply = m.get_if<proto::Reply>()) replies.push_back(*reply);
-  });
-  EndpointId replica{};
-  replica = lan.create_endpoint(HostId{2}, [&](EndpointId from, const Payload& m) {
-    const auto* request = m.get_if<proto::Request>();
-    ASSERT_NE(request, nullptr);
-    EXPECT_EQ(request->code_k, 2u);
-    proto::Reply reply;
-    reply.request = request->id;
-    reply.replica = ReplicaId{2};
-    reply.method = request->method;
-    reply.chunk = request->chunk;
-    reply.code_id = request->code_id;
-    lan.unicast(replica, from, Payload::make(reply, proto::kReplyBytes));
-  });
-
-  for (std::uint32_t chunk = 0; chunk < 3; ++chunk) {
-    proto::Request request;
-    request.id = RequestId{500};
-    request.client = ClientId{1};
-    request.method = "invoke";
-    request.chunk = chunk;
-    request.code_k = 2;
-    request.code_id = 77;
-    lan.unicast(client, replica, Payload::make(request, proto::kRequestBytes));
-  }
-  sim_.run();
-
-  ASSERT_EQ(replies.size(), 3u);
-  std::vector<std::uint32_t> chunks;
-  for (const proto::Reply& reply : replies) {
-    EXPECT_EQ(reply.code_id, 77u);
-    chunks.push_back(reply.chunk);
-  }
-  std::sort(chunks.begin(), chunks.end());
-  EXPECT_EQ(chunks, (std::vector<std::uint32_t>{0, 1, 2}));
+  check_chunked_round_trip(lan, flush(), mutex, replies);
 }
 
 // ---------------------------------------------------------------------------
@@ -444,6 +462,207 @@ TEST_F(UdpConformance, InboxOverflowIsACountedQueueDrop) {
   }));
   EXPECT_GE(udp.messages_queue_dropped(), 1u);
   EXPECT_EQ(udp.messages_dropped(), udp.messages_queue_dropped());
+}
+
+// ---------------------------------------------------------------------------
+// In-process backend (the threaded runtime's InProcessTransport)
+// ---------------------------------------------------------------------------
+
+runtime::NetDelayModel no_delay() {
+  return {.base = Duration::zero(), .jitter_max = Duration::zero(), .modulation = nullptr};
+}
+
+/// Zero delay delivers inline, so every check's flush is a no-op.
+void no_flush(std::size_t) {}
+
+TEST(InProcConformance, UnicastDelivery) {
+  runtime::InProcessTransport transport{no_delay()};
+  Inbox inbox;
+  check_unicast_delivery(transport, inbox, no_flush);
+}
+
+TEST(InProcConformance, MulticastFanoutPreservesPayload) {
+  runtime::InProcessTransport transport{no_delay()};
+  check_multicast_integrity(transport, no_flush);
+}
+
+TEST(InProcConformance, DestroyedEndpointIsACountedDrop) {
+  runtime::InProcessTransport transport{no_delay()};
+  check_destroyed_endpoint_drops(transport, no_flush);
+}
+
+TEST(InProcConformance, ChunkedRequestReplyRoundTrip) {
+  // The replica side replies from inside its ReceiveFn: at zero delay the
+  // reply is delivered inline, nested in the request's delivery.
+  runtime::InProcessTransport transport{no_delay()};
+  std::mutex mutex;
+  std::vector<proto::Reply> replies;
+  check_chunked_round_trip(transport, no_flush, mutex, replies);
+}
+
+TEST(InProcConformance, SpanContextIsCarried) {
+  runtime::InProcessTransport transport{no_delay()};
+  const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::vector<obs::SpanContext> spans;
+  const EndpointId b = transport.create_endpoint(
+      HostId{2}, [&](EndpointId, const Payload& message) { spans.push_back(message.span()); });
+  Payload payload = Payload::make(std::string{"traced"}, 64);
+  const obs::SpanContext ctx{.trace_id = 0xABCDEF0123456789ULL,
+                             .parent_span_id = 42,
+                             .leg = obs::SpanKind::kRequestLeg,
+                             .replica = ReplicaId{5}};
+  payload.set_span(ctx);
+  transport.unicast(a, b, std::move(payload));
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].trace_id, ctx.trace_id);
+  EXPECT_EQ(spans[0].parent_span_id, ctx.parent_span_id);
+  EXPECT_EQ(spans[0].leg, ctx.leg);
+  EXPECT_EQ(spans[0].replica, ctx.replica);
+}
+
+TEST(InProcConformance, ZeroDelayRunsTheReceiverOnTheSendersThread) {
+  runtime::InProcessTransport transport{no_delay()};
+  const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  std::thread::id receiver_thread;
+  const EndpointId b = transport.create_endpoint(
+      HostId{2}, [&](EndpointId, const Payload&) { receiver_thread = std::this_thread::get_id(); });
+  transport.unicast(a, b, Payload::make(std::string{"inline"}, 64));
+  EXPECT_EQ(receiver_thread, std::this_thread::get_id());  // before unicast returned
+}
+
+TEST(InProcConformance, PositiveDelayIsDeliveredFromTheExecutorAfterTheDelay) {
+  runtime::InProcessTransport transport{
+      {.base = msec(5), .jitter_max = usec(500), .modulation = nullptr}};
+  const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  const std::thread::id sender = std::this_thread::get_id();
+  std::atomic<int> on_sender{0};
+  Inbox inbox;
+  const EndpointId b = transport.create_endpoint(
+      HostId{2}, [&, sink = inbox.sink()](EndpointId from, const Payload& message) {
+        if (std::this_thread::get_id() == sender) on_sender.fetch_add(1);
+        sink(from, message);
+      });
+  const auto start = std::chrono::steady_clock::now();
+  transport.unicast(a, b, Payload::make(std::string{"later"}, 64));
+  ASSERT_TRUE(wait_for([&] { return inbox.size() == 1; }));
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(5));
+  EXPECT_EQ(on_sender.load(), 0);
+}
+
+TEST(InProcConformance, ModulationHookRetunesTheDelay) {
+  // The scenario runner's LAN-spike/delay-window hook: an extra delay
+  // moves a zero-delay transport off the inline path.
+  auto modulation = std::make_shared<stats::LoadModulation>();
+  runtime::InProcessTransport transport{
+      {.base = Duration::zero(), .jitter_max = Duration::zero(), .modulation = modulation}};
+  const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+  Inbox inbox;
+  const EndpointId b = transport.create_endpoint(HostId{2}, inbox.sink());
+  transport.unicast(a, b, Payload::make(std::string{"now"}, 64));
+  EXPECT_EQ(inbox.size(), 1u);
+  modulation->set_extra(msec(50));
+  transport.unicast(a, b, Payload::make(std::string{"later"}, 64));
+  EXPECT_EQ(inbox.size(), 1u);
+  ASSERT_TRUE(wait_for([&] { return inbox.size() == 2; }));
+}
+
+TEST(InProcConformance, SentEqualsDeliveredPlusDropped) {
+  // Every way a message can end: delivered inline, delivered late, sent
+  // to a destroyed endpoint, sent from one, or still pending when the
+  // transport dies. The hub mirrors the totals under the lan.* names.
+  obs::Telemetry telemetry;
+  {
+    runtime::InProcessTransport transport{
+        {.base = msec(1), .jitter_max = msec(1), .modulation = nullptr}};
+    transport.set_telemetry(&telemetry);
+    const EndpointId a = transport.create_endpoint(HostId{1}, [](EndpointId, const Payload&) {});
+    const EndpointId b = transport.create_endpoint(HostId{2}, [](EndpointId, const Payload&) {});
+    const EndpointId gone = transport.create_endpoint(HostId{3}, [](EndpointId, const Payload&) {});
+    const std::vector<EndpointId> members{a, b, gone};
+    transport.multicast(a, members, Payload::make(std::string{"wave 1"}, 64));
+    ASSERT_TRUE(wait_for([&] { return transport.messages_delivered() == 3; }));
+    transport.destroy_endpoint(gone);
+    transport.multicast(a, members, Payload::make(std::string{"wave 2"}, 64));
+    transport.unicast(gone, b, Payload::make(std::string{"from the dead"}, 64));
+    ASSERT_TRUE(wait_for([&] {
+      return transport.messages_delivered() + transport.messages_dropped() == 7;
+    }));
+    transport.multicast(a, members, Payload::make(std::string{"never arrives"}, 64));
+    EXPECT_EQ(transport.messages_sent(), 10u);
+  }  // destroyed with wave 3 (1-2 ms out) still pending: counted as drops
+  const auto counter = [&](const char* name) { return telemetry.metrics().counter(name).value(); };
+  EXPECT_EQ(counter("lan.sent"), 10u);
+  EXPECT_EQ(counter("lan.sent"), counter("lan.delivered") + counter("lan.dropped"));
+  EXPECT_GE(counter("lan.dropped"), 2u);
+}
+
+TEST(InProcHammer, DestroyEndpointRacesReplicaWorkersDeliveringInline) {
+  // Replica workers deliver their replies inline into a client endpoint
+  // while the test destroys it. Once destroy_endpoint returns, no
+  // delivery may be running or start: the sink state is freed at once
+  // (ASan/TSan flag a straggler) and a flag catches any late call.
+  constexpr std::size_t kReplicas = 3;
+  for (int round = 0; round < 20; ++round) {
+    runtime::InProcessTransport transport{no_delay()};
+    std::vector<std::unique_ptr<runtime::ThreadedReplica>> replicas;
+    std::vector<std::unique_ptr<runtime::ReplicaEndpoint>> endpoints;
+    std::vector<EndpointId> members;
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+      replicas.push_back(std::make_unique<runtime::ThreadedReplica>(
+          ReplicaId{i + 1}, stats::make_constant(Duration::zero()), Rng{i + 1}));
+      endpoints.push_back(std::make_unique<runtime::ReplicaEndpoint>(transport, *replicas.back(),
+                                                                     HostId{i + 1}));
+      members.push_back(endpoints.back()->endpoint());
+    }
+    struct Sink {
+      std::uint64_t replies = 0;
+      std::mutex mutex;
+    };
+    auto sink = std::make_unique<Sink>();
+    std::atomic<bool> destroyed{false};
+    std::atomic<std::uint64_t> late{0};
+    std::atomic<std::uint64_t> answered{0};
+    const EndpointId client = transport.create_endpoint(
+        HostId{100}, [raw = sink.get(), &destroyed, &late, &answered](EndpointId,
+                                                                      const Payload& message) {
+          if (destroyed.load()) late.fetch_add(1);
+          if (message.get_if<proto::Reply>() == nullptr) return;
+          // Stay inside the delivery a moment, so destroy_endpoint
+          // usually finds one in progress and has to wait it out.
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          std::lock_guard lock(raw->mutex);  // freed memory if this ran late
+          ++raw->replies;
+          if (destroyed.load()) late.fetch_add(1);
+          answered.fetch_add(1);
+        });
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> requested{0};
+    std::thread pump([&] {
+      for (std::uint64_t n = 1; !stop.load(); ++n) {
+        // Bounded backlog: at most a few waves outstanding per replica.
+        while (!stop.load() && requested.load() > answered.load() + 4 * kReplicas) {
+          std::this_thread::yield();
+        }
+        proto::Request request{RequestId{n}, ClientId{1}, "invoke", 0};
+        transport.multicast(client, members, Payload::make(request, proto::kRequestBytes));
+        requested.fetch_add(kReplicas);
+      }
+    });
+    ASSERT_TRUE(wait_for([&] { return answered.load() >= 100; }));
+    // A replica endpoint goes mid-traffic too: the pump delivers into it.
+    endpoints[0]->shutdown();
+    transport.destroy_endpoint(client);
+    destroyed.store(true);
+    sink.reset();
+    stop.store(true);
+    pump.join();
+    endpoints.clear();  // severs the reply path of anything still queued
+    replicas.clear();
+    EXPECT_EQ(late.load(), 0u) << "round " << round;
+    EXPECT_EQ(transport.messages_sent(),
+              transport.messages_delivered() + transport.messages_dropped());
+  }
 }
 
 }  // namespace

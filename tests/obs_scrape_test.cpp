@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -162,6 +164,43 @@ TEST(ScrapeServer, ParsesRequestLineSplitAcrossSegments) {
 
   EXPECT_EQ(response.rfind("HTTP/1.0 200 OK", 0), 0u) << response;
   EXPECT_NE(response.find("aqua_gateway_requests 12"), std::string::npos);
+}
+
+TEST(ScrapeServer, RequestBytesAfterTheLineDoNotResetTheResponse) {
+  // The server answers as soon as it has the request line; the blank
+  // line that ends the request arrives in a second segment (a shell's
+  // `printf ... >/dev/tcp/...` writes line by line). Closing with those
+  // bytes unread makes the kernel abort the connection with a reset,
+  // and the client loses the part of a large response it has not read.
+  Telemetry telemetry;
+  populate(telemetry);
+  for (int i = 0; i < 4000; ++i) {
+    telemetry.metrics().counter("bulk.counter_" + std::to_string(i)).add(1);
+  }
+  ScrapeServer server{telemetry, 0};
+  for (int round = 0; round < 5; ++round) {
+    const int fd = connect_to(server.port());
+    ASSERT_GE(fd, 0);
+    for (const std::string& piece : {std::string{"GET /metrics HTTP/1.0\r\n"},
+                                     std::string{"\r\n"}}) {
+      ASSERT_EQ(::send(fd, piece.data(), piece.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(piece.size()));
+      ::usleep(5'000);  // distinct segments
+    }
+    ::usleep(50'000);  // the server has answered and closed by now
+    std::string response;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0) {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    const int read_errno = n < 0 ? errno : 0;
+    ::close(fd);
+
+    EXPECT_EQ(read_errno, 0) << std::strerror(read_errno);
+    EXPECT_EQ(response.rfind("HTTP/1.0 200 OK", 0), 0u);
+    EXPECT_NE(response.find("aqua_bulk_counter_3999 1"), std::string::npos);
+  }
 }
 
 TEST(ScrapeServer, SurvivesClientDisconnectingBeforeResponse) {

@@ -487,7 +487,7 @@ int run_threaded(const Options& opt) {
 
   std::printf("aqua_experiment (threaded, %s) seed=%llu replicas=%d clients=%d service=%s "
               "deadline=%lldms pc=%.2f\n",
-              opt.transport == "udp" ? "udp loopback" : "direct",
+              opt.transport == "udp" ? "udp loopback" : "in-process",
               static_cast<unsigned long long>(opt.seed), opt.replicas, opt.clients,
               service->describe().c_str(), static_cast<long long>(opt.deadline_ms), opt.pc);
   if (system.scrape_server() != nullptr) {

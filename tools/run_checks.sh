@@ -22,9 +22,12 @@
 # whose merged counters equal the sum of the per-node /metrics totals.
 # The memory-safety passes cover the simulator's slot table and in-place
 # event storage: an AddressSanitizer build runs the sim_*, net_payload,
-# gateway and allocation-budget tests plus the sim golden, and an
+# gateway and allocation-budget tests plus the sim golden, and the
+# in-process runtime's inline re-entrancy test; an
 # UndefinedBehaviorSanitizer build runs the response-time model tests
-# (the saturated queue-backlog shift).
+# (the saturated queue-backlog shift and pmf sums). The TSan transport
+# pass covers all three transport backends, including the in-process
+# destroy-vs-inline-delivery hammer.
 #
 # Usage: tools/run_checks.sh [jobs]
 set -euo pipefail
@@ -237,21 +240,22 @@ ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L fault
 step "Telemetry tier: ctest -L obs (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L obs
 
-step "Transport conformance + UDP runtime (TSan)"
+step "Transport conformance + UDP runtime + in-process hammer (TSan)"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'SimConformance|UdpConformance|RuntimeTransportTest|UdpRegressionTest'
+  -R 'SimConformance|UdpConformance|InProcConformance|InProcHammer|RuntimeTransportTest|UdpRegressionTest'
 
 ASAN_TESTS=()
-for test_source in tests/sim_*_test.cpp tests/net_payload_test.cpp tests/gateway_*_test.cpp; do
+for test_source in tests/sim_*_test.cpp tests/net_payload_test.cpp tests/gateway_*_test.cpp \
+  tests/runtime_inproc_test.cpp; do
   ASAN_TESTS+=("$(basename "${test_source}" .cpp)")
 done
 
-step "Configure + build: AddressSanitizer (build-asan/), simulator and gateway tests"
+step "Configure + build: AddressSanitizer (build-asan/), simulator, gateway and in-process runtime tests"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_ASAN=ON >/dev/null
 cmake --build build-asan -j "${JOBS}" --target "${ASAN_TESTS[@]}" \
   fig4_selected_replicas fig5_timing_failures aqua_experiment
 
-step "Event memory: sim_*, net_payload, gateway and allocation-budget tests (ASan)"
+step "Event memory + inline re-entrancy: sim_*, net_payload, gateway, allocation-budget and in-process runtime tests (ASan)"
 for test_binary in "${ASAN_TESTS[@]}"; do
   "build-asan/tests/${test_binary}" --gtest_brief=1
 done
